@@ -257,7 +257,7 @@ class WeightSequence:
             v = th * (Fraction(k) ** b - Fraction(k - 1) ** b)
         elif self.rule == "monomial":
             c, p = _as_exact(self.coeff), _as_exact(self.power)
-            if c is None or p is None or p.denominator != 1 or p < 0:
+            if c is None or p is None or p.denominator != 1:
                 return None
             v = c * Fraction(k) ** p.numerator
         else:

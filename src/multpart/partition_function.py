@@ -1,16 +1,23 @@
 """Taylor coefficients of the weighted-count product and their point masses.
 
 The normalizing function F(x) = prod_k f(x^k)^{b_k} = sum_n a_n x^n is
-handled two ways that check each other:
+reached three ways:
 
-* coefficient route: a_0..a_N built factor by factor, exactly (big
+* product route: log F(x) summed directly from the factors with a
+  certified truncation bound;
+* coefficient tables: a_0..a_N built factor by factor, exactly (big
   integers / rationals) whenever the ensemble data are rational, in
   extended-precision floats otherwise;
-* product route: log F(x) summed directly from the factors with a
-  certified truncation bound.
+* point masses: p_m = a_m x^m / F(x) from the Euler-transform
+  (log-derivative) recurrence m p_m = sum_{i<=m} c_i p_{m-i}, where
+  c_i = x^i sum_{k|i} k b_k nu_{i/k} and nu_j = j [z^j] log f. It starts
+  from p_0 = 1/F(x) off the product route and needs no table.
 
-Point masses a_m x^m / F(x) combine the two and feed the local-limit
-probe, which compares sqrt(Var) * mass against the Gaussian density.
+A point mass does not depend on how far a table reaches, so point_mass
+and local_limit_probe need no table; the tail certificate (check_tail)
+applies to tables a caller passes in. Exponential-series ensembles
+(gibbs, ordered lists, Ewens) build their exact tables through the same
+recurrence, in integers.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .ensemble import Ensemble
 from .errors import ConvergenceError, ParamError, RegimeError, TableError, TruncationError
-from .series import GeometricSeries, power_coefficients
+from .series import ExponentialSeries, GeometricSeries, power_coefficients
 
 __all__ = [
     "CoefficientTable",
@@ -38,6 +45,9 @@ __all__ = [
 PREFIX_CAP = 5000
 PRODUCT_TAIL_TOL = 1e-12
 TABLE_TAIL_TOL = 1e-6
+# the mass recurrence rescales its running values past this size
+_RESCALE = 1e250
+_EPS = float(np.finfo(np.float64).eps)
 # factor coefficients below this relative size are dropped from the
 # tilted prefix convolutions (and, consistently, from the exact sampler)
 FACTOR_WEIGHT_CUT = 1e-20
@@ -186,6 +196,12 @@ class CoefficientTable:
             return -math.inf
         return float(np.log(a))
 
+    @property
+    def active_sizes(self) -> list[int]:
+        """Part sizes with a factor row (b_k != 0), ascending; empty
+        without keep_prefix."""
+        return list(self._factor_w)
+
     def factor_weights(self, k: int) -> np.ndarray:
         """Tilted coefficient row of the part-size-k factor (active sizes only).
 
@@ -254,17 +270,64 @@ def _exact_factor_exponents(e: Ensemble, n_max: int):
             yield k, b
 
 
-def _build_exact(e: Ensemble, n_max: int, generic: bool) -> np.ndarray:
+def _exponential_recurrence(a: np.ndarray, d: np.ndarray, divide) -> None:
+    """Fill a[1:] from a[0] by m a_m = sum_{i<=m} d_i a_{m-i}.
+
+    The log-derivative form of F = exp(sum_i d_i z^i / i); divide(s, m)
+    is s / m in the array's arithmetic.
+    """
+    n_max = a.shape[0] - 1
+    # rev[t] = d[n_max - t], so each step is one contiguous dot
+    rev = d[n_max:0:-1].copy()
+    for m in range(1, n_max + 1):
+        a[m] = divide(np.dot(a[:m], rev[n_max - m:]), m)
+
+
+def _build_exact_exponential(e: Ensemble, n_max: int) -> np.ndarray:
+    """a_0..a_{n_max} for F = exp(c sum_k b_k z^k), in integers.
+
+    m a_m = sum_i d_i a_{m-i} with d_i = i c b_i. With D the common
+    denominator of the d_i, Y_m = N! D^m a_m (N = n_max) is an integer and
+    m Y_m = sum_i d_i D^i Y_{m-i}, one exact division per m.
+    """
+    c = e.series.exact_coefficient(1)
+    d = [Fraction(0)] * (n_max + 1)
+    for k, b in _exact_factor_exponents(e, n_max):
+        d[k] = k * c * b
+    den = math.lcm(*(q.denominator for q in d))
+    scaled = np.empty(n_max + 1, dtype=object)
+    power = 1
+    for i in range(n_max + 1):
+        scaled[i] = int(d[i] * power)
+        power *= den
+    y = np.empty(n_max + 1, dtype=object)
+    y[0] = math.factorial(n_max)
+    _exponential_recurrence(y, scaled, lambda s, m: int(s) // m)
+    a = np.empty(n_max + 1, dtype=object)
+    scale = y[0]
+    for m in range(n_max + 1):
+        q = Fraction(y[m], scale)
+        a[m] = q.numerator if q.denominator == 1 else q
+        scale *= den
+    return a
+
+
+def _build_exact(e: Ensemble, n_max: int) -> np.ndarray:
+    series = e.series
+    if isinstance(series, ExponentialSeries):
+        return _build_exact_exponential(e, n_max)
+    # a holds q^m a_m, with q the denominator of the geometric weight y,
+    # so that the scans run on integers
     a = np.empty(n_max + 1, dtype=object)
     a[:] = 0
     a[0] = 1
-    series = e.series
     geometric = isinstance(series, GeometricSeries)
-    y = series.exact_coefficient(1) if geometric else None
+    y = series.exact_coefficient(1) if geometric else Fraction(1)
+    q = y.denominator
     for k, b in _exact_factor_exponents(e, n_max):
         reps = int(b) if b.denominator == 1 and 1 <= b <= 64 else None
-        if not generic and geometric and reps is not None:
-            yv = y if y.denominator > 1 else y.numerator
+        if geometric and reps is not None:
+            yv = y.numerator * q ** (k - 1)
             for _ in range(reps):
                 if yv == 1:
                     _scan_unit(a, k)
@@ -272,32 +335,42 @@ def _build_exact(e: Ensemble, n_max: int, generic: bool) -> np.ndarray:
                     _scan_weighted(a, k, yv)
         else:
             w = power_coefficients(series, b, n_max // k)
+            if q > 1:
+                w = [wj * q ** (k * j) for j, wj in enumerate(w)]
             _convolve_stride(a, k, w)
+    if q > 1:
+        for m in range(n_max + 1):
+            v = Fraction(a[m], q ** m)
+            a[m] = v.numerator if v.denominator == 1 else v
     return a
 
 
-def _build_float(e: Ensemble, n_max: int, generic: bool) -> np.ndarray:
+def _build_float(e: Ensemble, n_max: int) -> np.ndarray:
     a = np.zeros(n_max + 1, dtype=np.longdouble)
     a[0] = 1.0
     series = e.series
-    geometric = isinstance(series, GeometricSeries)
     ks = np.arange(1, n_max + 1)
     bs = e.weights.values(ks)
-    for k, b in zip(ks.tolist(), bs.tolist()):
-        if b == 0.0:
-            continue
-        reps = int(round(b)) if abs(b - round(b)) < 1e-12 and 1 <= b <= 64 else None
-        if not generic and geometric and reps is not None:
-            yv = np.longdouble(series.coefficient(1))
-            for _ in range(reps):
-                if yv == 1.0:
-                    _scan_unit(a, k)
-                else:
-                    _scan_weighted(a, k, yv)
-        else:
-            w = np.asarray(power_coefficients(series, b, n_max // k),
-                           dtype=np.longdouble)
-            _convolve_stride(a, k, w)
+    if isinstance(series, ExponentialSeries):
+        d = np.concatenate(([0.0], ks * bs * float(series.rate)))
+        _exponential_recurrence(a, d.astype(np.longdouble), lambda s, m: s / m)
+    else:
+        geometric = isinstance(series, GeometricSeries)
+        for k, b in zip(ks.tolist(), bs.tolist()):
+            if b == 0.0:
+                continue
+            reps = int(round(b)) if abs(b - round(b)) < 1e-12 and 1 <= b <= 64 else None
+            if geometric and reps is not None:
+                yv = np.longdouble(series.coefficient(1))
+                for _ in range(reps):
+                    if yv == 1.0:
+                        _scan_unit(a, k)
+                    else:
+                        _scan_weighted(a, k, yv)
+            else:
+                w = np.asarray(power_coefficients(series, b, n_max // k),
+                               dtype=np.longdouble)
+                _convolve_stride(a, k, w)
     if not np.isfinite(a).all():
         raise TableError(
             "float coefficients overflowed extended precision; "
@@ -363,14 +436,13 @@ def _build_prefix(e: Ensemble, n_max: int, x0: float):
 
 
 def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
-                 keep_prefix: bool = False, x0: float | None = None,
-                 generic: bool = False) -> CoefficientTable:
-    """Build a_0..a_{n_max} factor by factor.
+                 keep_prefix: bool = False, x0: float | None = None) -> CoefficientTable:
+    """Build a_0..a_{n_max}.
 
     mode: "auto" picks exact arithmetic when the ensemble is rational,
-    extended floats otherwise; "exact"/"float" force a route. generic=True
-    runs every factor through the one-pass power recurrence plus stride
-    convolution (the reference path the fast scans must match).
+    extended floats otherwise; "exact"/"float" force a route. Exact tables
+    of exponential-series ensembles come from the integer Euler-transform
+    recurrence; every other table is built factor by factor.
 
     keep_prefix retains the tilted per-prefix rows for the exact sampler
     (memory grows quadratically: capped at n_max = 5000). x0 overrides the
@@ -384,7 +456,7 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
     if exact and not e.is_rational:
         raise ParamError("exact mode needs rational series and weights")
 
-    values = _build_exact(e, n_max, generic) if exact else _build_float(e, n_max, generic)
+    values = _build_exact(e, n_max) if exact else _build_float(e, n_max)
     if values[0] != 1:
         raise TableError("a_0 != 1: factor normalization broken")
     if exact and e.weights.b_1 > 0 and any(v <= 0 for v in values[1:].tolist()):
@@ -437,50 +509,112 @@ def _table_tail_bound(e: Ensemble, table: CoefficientTable, x: float) -> float:
     return cached
 
 
-def _tail_safe_size(e: Ensemble, x: float, floor_n: int) -> int:
-    """Smallest tested n_max whose Chernoff tail clears the gate with margin.
+def _log_derivative_weights(e: Ensemble, x: float, m_max: int):
+    """(c, positive) with c_i = x^i sum_{k|i} k b_k mu_{i/k}, i <= m_max.
 
-    The bound is computable without the table, so sizing costs only a few
-    tilt solves. The bound is loose relative to the true (near-Gaussian)
-    tail because the variance grows along the tilt path, hence the
-    growth loop rather than a fixed mean + c*sd rule.
+    mu_j = j [z^j] log f, taken tilted (nu_j = mu_j x^j) so that
+    k b_k nu_j x^{(k-1) j} stays in range. Pairs (k, j) with k j <= m_max
+    are visited as one vector per small k and one per small j. When some
+    nu_j is negative, positive is False if a c_i is negative beyond its
+    rounding error; c then cannot drive a positive recurrence.
     """
-    sd = math.sqrt(max(e.var_N(x), 1.0))
-    n = max(floor_n, math.ceil(e.mean_N(x) + 6.5 * sd))
-    for _ in range(200):
-        if _chernoff_tail(e, x, n) < 0.1 * TABLE_TAIL_TOL:
-            return n
-        n = math.ceil(1.3 * n + sd)
-    raise ConvergenceError(
-        f"no table size with certified tail below {TABLE_TAIL_TOL} at x={x}")
+    nu = e.series.log_coefficients(m_max, x)
+    ks = np.arange(1, m_max + 1)
+    kb = ks * e.weights.values(ks)
+    signed = bool((nu < 0.0).any())
+    nus = (nu, np.abs(nu)) if signed else (nu,)
+    out = [np.zeros(m_max + 1) for _ in nus]
+    root = math.isqrt(m_max)
+    for k in np.nonzero(kb[:root])[0] + 1:
+        js = np.arange(1, m_max // k + 1)
+        tilt = kb[k - 1] * np.power(x, ((k - 1) * js).astype(np.float64))
+        for c, v in zip(out, nus):
+            c[k * js] += tilt * v[js]
+    for j in range(1, m_max // (root + 1) + 1):
+        if nu[j] == 0.0:
+            continue
+        kk = ks[root:m_max // j]
+        tilt = kb[kk - 1] * np.power(x, ((kk - 1) * j).astype(np.float64))
+        for c, v in zip(out, nus):
+            c[j * kk] += tilt * v[j]
+    c = out[0]
+    if not signed:
+        return c, True
+    if (c < -64 * _EPS * out[1]).any():
+        return c, False
+    return np.maximum(c, 0.0), True
+
+
+def _mass_from_table(table: CoefficientTable, x: float, m: int,
+                     log_F: float) -> float:
+    log_a = table.log_coefficient(m)
+    if log_a == -math.inf:
+        return 0.0
+    return math.exp(log_a + m * math.log(x) - log_F)
+
+
+def _tilted_masses(e: Ensemble, x: float, m_max: int) -> np.ndarray:
+    """p_m = a_m x^m / F(x) for m = 0..m_max, without a coefficient table.
+
+    Runs m p_m = sum_{i<=m} c_i p_{m-i} (one dot per m) from p_0 = 1/F(x).
+    Every term is positive, so the recurrence is forward stable. The run
+    keeps r_m = p_m exp(-shift), r_0 = 1, and divides r by _RESCALE
+    (raising the shift) whenever r_m passes it, so nothing overflows or
+    underflows when log F(x) > 745. Where a c_i is negative (a series
+    whose logarithm has negative coefficients, e.g. 1 + z + z^2 on parts
+    not divisible by 3), the masses come from coefficients(e, m_max)
+    instead, which raises the typed error when a factor is not an
+    admissible count law.
+    """
+    log_F = log_partition_value(e, x)
+    c, positive = _log_derivative_weights(e, x, m_max)
+    if not positive:
+        table = coefficients(e, m_max)
+        return np.array([_mass_from_table(table, x, m, log_F)
+                         for m in range(m_max + 1)])
+    nz = np.nonzero(c)[0]
+    top = int(nz[-1]) if nz.size else 0
+    # rev[t] = c_{top-t}, so each step is one contiguous dot
+    rev = c[top:0:-1].copy()
+    r = np.zeros(m_max + 1)
+    r[0] = 1.0
+    shift = -log_F
+    for m in range(1, m_max + 1):
+        lo = m - top if m > top else 0
+        v = float(np.dot(r[lo:m], rev[top - m + lo:])) / m
+        r[m] = v
+        if v > _RESCALE:
+            r[:m + 1] /= _RESCALE
+            shift += math.log(_RESCALE)
+    half = math.exp(0.5 * shift)
+    return r * half * half
 
 
 def point_mass(e: Ensemble, x: float, m: int, table: CoefficientTable | None = None,
                check_tail: bool = True) -> float:
     """mu_x(total size = m) = a_m x^m / F(x).
 
-    With check_tail on (the default), the call certifies that the table
-    covers the distribution at this x: the bound on mu_x(N > n_max) must
-    stay below 1e-6 or TruncationError is raised. Pass a prebuilt table
-    when calling repeatedly; table=None builds one sized for the check.
+    table=None (the default) runs the tilted Euler-transform recurrence up
+    to m; no table is built and no truncation can occur. With a table
+    passed in, a_m is read from it and log F(x) comes from the product
+    route; check_tail (the default) then certifies that the table covers
+    the distribution at this x: the bound on mu_x(N > n_max) must stay
+    below 1e-6 or TruncationError is raised. check_tail has no effect
+    without a table.
     """
     if not (0.0 < x < e.rho):
         raise ParamError(f"x={x} outside (0, {e.rho})")
     if m < 0:
         raise ParamError("m must be >= 0")
     if table is None:
-        n_auto = _tail_safe_size(e, x, m) if check_tail else m
-        table = coefficients(e, n_auto)
+        return float(_tilted_masses(e, x, m)[m])
     if m > table.n_max:
         raise ParamError(f"m={m} beyond table range 0..{table.n_max}")
     if check_tail and _table_tail_bound(e, table, x) > TABLE_TAIL_TOL:
         raise TruncationError(
             f"table to n_max={table.n_max} misses more than {TABLE_TAIL_TOL} "
             f"of the mass at x={x}; enlarge the table")
-    log_a = table.log_coefficient(m)
-    if log_a == -math.inf:
-        return 0.0
-    return math.exp(log_a + m * math.log(x) - log_partition_value(e, x))
+    return _mass_from_table(table, x, m, log_partition_value(e, x))
 
 
 def local_limit_probe(e: Ensemble, x: float, u_grid,
@@ -488,8 +622,9 @@ def local_limit_probe(e: Ensemble, x: float, u_grid,
     """(u, sqrt(Var) * mu_x(m(u))) at m(u) = round(mean + u * sd).
 
     The values approach the Gaussian density exp(-u^2/2)/sqrt(2 pi) as
-    x -> rho in the ergodic regimes; exact coefficients make the probe an
-    arithmetic-level check of that limit.
+    x -> rho in the ergodic regimes. table=None runs the tilted recurrence
+    once, up to the largest probed m; a table passed in is used through
+    point_mass, tail certificate included.
     """
     regime = e.regime
     if not regime.ergodic:
@@ -500,11 +635,8 @@ def local_limit_probe(e: Ensemble, x: float, u_grid,
         return []
     mean = e.mean_N(x)
     sd = math.sqrt(e.var_N(x))
+    ms = [max(int(round(mean + u * sd)), 0) for u in us]
     if table is None:
-        floor_n = math.ceil(mean + max(abs(u) for u in us) * sd) + 1
-        table = coefficients(e, _tail_safe_size(e, x, floor_n))
-    out = []
-    for u in us:
-        m = max(int(round(mean + u * sd)), 0)
-        out.append((u, sd * point_mass(e, x, m, table)))
-    return out
+        masses = _tilted_masses(e, x, max(ms))
+        return [(u, sd * float(masses[m])) for u, m in zip(us, ms)]
+    return [(u, sd * point_mass(e, x, m, table)) for u, m in zip(us, ms)]

@@ -10,6 +10,7 @@ conditional walk down the retained prefix rows of a coefficient table.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -338,11 +339,11 @@ def sample_small_exact(e: Ensemble, n: int, rng: RngStream,
     gen = rng.generator()
     counts: dict[int, int] = {}
     m = n
-    for k in range(n, 0, -1):
-        if m == 0:
-            break
-        if m < k or e.weights.value(k) == 0.0:
-            continue
+    # sizes with b_k != 0, ascending; the walk visits each one <= m
+    sizes = table.active_sizes
+    i = bisect.bisect_right(sizes, m) - 1
+    while m and i >= 0:
+        k = sizes[i]
         prev = table.prefix[k - 1]
         w = table.factor_weights(k)
         j_hi = min(m // k, len(w) - 1)
@@ -356,6 +357,7 @@ def sample_small_exact(e: Ensemble, n: int, rng: RngStream,
         if j:
             counts[k] = j
             m -= k * j
+        i = min(i - 1, bisect.bisect_right(sizes, m) - 1)
     if m != 0:
         raise TableError("prefix rows inconsistent: residual not exhausted")
     part = Partition(counts, n)

@@ -11,7 +11,9 @@ downstream needs three views of f:
 * the logarithmic derivative h = f'/f with its first two derivatives,
   evaluated inside the disc of convergence,
 * coefficients of powers f**b, which give the count law for one part size
-  when the weight attached to that size is b.
+  when the weight attached to that size is b,
+* coefficients of the logarithm, j [z^j] log f(s z), which drive the
+  Euler-transform recurrence for the coefficients of the whole product.
 
 The radius of convergence rho_1 and a descriptor of the singularity on the
 positive axis (a pole of known order, an essential singularity, or nothing
@@ -39,6 +41,7 @@ Number = Union[int, float, Fraction]
 # fraction of the radius: the geometric tail bound degenerates there.
 EVAL_RADIUS_FRACTION = 0.999
 _REL_TOL = 1e-16
+_EPS = float(np.finfo(np.float64).eps)
 _MAX_TERMS = 10 ** 6
 
 
@@ -136,6 +139,29 @@ class SeriesFunction:
         """ln f(u), stable when f(u) is near 1 or very large."""
         return math.log(self.eval_with_derivatives(u)[0])
 
+    def log_coefficients(self, j_max: int, scale: float = 1.0) -> np.ndarray:
+        """nu_j = j [z^j] log f(scale z) for j = 0..j_max, nu_0 = 0.
+
+        Default: the log-series recurrence j g_j = sum_{i<=j} nu_i g_{j-i}
+        on the tilted coefficients g_j scale^j. Values within rounding of
+        zero are set to zero, so a sign that survives is a real one.
+        """
+        g = np.array([self.coefficient(j) * scale ** j
+                      for j in range(j_max + 1)], dtype=np.float64)
+        nz = np.nonzero(g[1:])[0]
+        top = int(nz[-1]) + 1 if nz.size else 0
+        # grev[t] = g_{top-t}, so each step is one contiguous dot
+        grev = g[top:0:-1].copy()
+        nu = np.zeros(j_max + 1)
+        for j in range(1, j_max + 1):
+            lo = max(1, j - top)
+            head = j * g[j] if j <= top else 0.0
+            terms = grev[top - j + lo:top]
+            v = head - np.dot(nu[lo:j], terms)
+            size = head + np.dot(np.abs(nu[lo:j]), terms)
+            nu[j] = 0.0 if abs(v) <= 4 * j * _EPS * size else v
+        return nu
+
     def _check_domain(self, u: float, truncated: bool) -> None:
         if u < 0:
             raise DomainError(f"series evaluated at negative point u={u}")
@@ -221,6 +247,12 @@ class GeometricSeries(SeriesFunction):
         self._check_domain(u, truncated=False)
         return -math.log1p(-self._y * u)
 
+    def log_coefficients(self, j_max, scale=1.0):
+        # log 1/(1 - y z) = sum_j (y z)^j / j
+        nu = np.power(self._y * scale, np.arange(j_max + 1, dtype=np.float64))
+        nu[0] = 0.0
+        return nu
+
     def tilted(self, scale: float) -> "GeometricSeries":
         if not (scale > 0):
             raise ParamError(f"tilt scale must be positive, got {scale}")
@@ -245,7 +277,12 @@ class ExponentialSeries(SeriesFunction):
         return f"ExponentialSeries(rate={self.rate})"
 
     def coefficient(self, j: int) -> float:
-        return self._c ** j / math.factorial(j)
+        try:
+            return self._c ** j / math.factorial(j)
+        except OverflowError:
+            # c^j or j! leaves the float range (j! from j = 171); the
+            # ratio need not
+            return math.exp(j * math.log(self._c) - math.lgamma(j + 1))
 
     def exact_coefficient(self, j: int) -> Fraction | None:
         if self._exact_c is None:
@@ -265,6 +302,12 @@ class ExponentialSeries(SeriesFunction):
     def log_value(self, u):
         self._check_domain(u, truncated=False)
         return self._c * u
+
+    def log_coefficients(self, j_max, scale=1.0):
+        nu = np.zeros(j_max + 1)
+        if j_max >= 1:
+            nu[1] = self._c * scale
+        return nu
 
     def __pow__(self, exponent: Number) -> "SeriesFunction":
         # exp(cz)^b = exp(cb z): stay in closed form so downstream fast
@@ -452,6 +495,9 @@ class PowerSeriesFunction(SeriesFunction):
     def log_value(self, u):
         return self._b * self.base.log_value(u)
 
+    def log_coefficients(self, j_max, scale=1.0):
+        return self._b * self.base.log_coefficients(j_max, scale)
+
     def tilted(self, scale: float) -> "SeriesFunction":
         return PowerSeriesFunction(self.base.tilted(scale), self.exponent)
 
@@ -480,6 +526,10 @@ def power_coefficients(f: SeriesFunction, b: Number, j_max: int) -> list:
 
     b_exact = _as_exact(b)
     exact = b_exact is not None and f.is_rational
+    if b_exact == 1:
+        if exact:
+            return [_maybe_int(f.exact_coefficient(j)) for j in range(j_max + 1)]
+        return [f.coefficient(j) for j in range(j_max + 1)]
     if exact:
         g = [f.exact_coefficient(i) for i in range(j_max + 1)]
         bq = b_exact

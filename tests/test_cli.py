@@ -110,6 +110,17 @@ def test_sample_small_exact_records():
         assert all(r >= 1 for _, r in rec["counts"])
 
 
+def test_sample_gibbs_small_exact_beyond_float_factorials():
+    # g_j = c^j / j! for j >= 171 leaves the float range of j!; the draw
+    # must still come out
+    res = run_cli("sample", "--ensemble", "gibbs", "--mode", "small-exact",
+                  "--n", "171", "--seed", "1")
+    assert res.exit_code == 0, res.output
+    rec = json.loads(res.output)
+    assert rec["n"] == 171
+    assert sum(k * r for k, r in rec["counts"]) == 171
+
+
 def test_sample_weight_zero_is_empty_partition():
     res = run_cli("sample", "--ensemble", "uniform", "--mode", "small-exact",
                   "--n", "0", "--seed", "2")

@@ -8,6 +8,9 @@ import pytest
 from multpart import (
     CustomSeries,
     Ensemble,
+    Singularity,
+    constant_weights,
+    indicator_weights,
     NegativeCoefficientError,
     ParamError,
     TableError,
@@ -22,8 +25,11 @@ from multpart import (
     product_tail_cutoff,
     solve_tilt,
 )
+from multpart.partition_function import _log_derivative_weights, _tilted_masses
 
-from oracles import partition_count, partition_product, weighted_partition_sum
+from oracles import (exp_factor, geometric_factor, partition_count,
+                     partition_product, product_coefficients,
+                     weighted_partition_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +98,23 @@ def test_table_trivial_and_range():
         coefficients(make("uniform"), -1)
 
 
-def test_generic_route_matches_fast_scans():
-    u = make("uniform")
-    fast = coefficients(u, 80)
-    slow = coefficients(u, 80, generic=True)
-    assert [int(a) for a in fast.values] == [int(a) for a in slow.values]
+def test_tables_match_product_oracle():
+    # the same sizes the scans were once checked at, now entry for entry
+    # against naive products of the factors
+    u = coefficients(make("uniform"), 80)
+    assert list(u.values) == partition_numbers(80)
+    assert list(u.values) == product_coefficients(
+        [geometric_factor(k, 1, 80) for k in range(1, 81)], 80)
 
-    w = make("weighted", y=2)
-    fast = coefficients(w, 60)
-    slow = coefficients(w, 60, generic=True)
-    assert [int(a) for a in fast.values] == [int(a) for a in slow.values]
+    w = coefficients(make("weighted", y=2), 60)
+    assert list(w.values) == product_coefficients(
+        [geometric_factor(k, 2, 60) for k in range(1, 61)], 60)
 
+    want = product_coefficients(
+        [exp_factor(k, Fraction(1), 40) for k in range(1, 41)], 40)
     ol = make("ordered_lists")
-    fa = coefficients(ol, 40, mode="float")
-    sl = coefficients(ol, 40, mode="float", generic=True)
-    for a, b in zip(fa.values, sl.values):
+    assert list(coefficients(ol, 40, mode="exact").values) == want
+    for a, b in zip(coefficients(ol, 40, mode="float").values, want):
         assert float(a) == pytest.approx(float(b), rel=1e-12)
 
 
@@ -232,6 +240,96 @@ def test_point_mass_matches_partition_number_oracle(n):
     x_n = solve_tilt(u, n).x_n
     oracle = partition_numbers(n)[n] * x_n ** n / partition_product(x_n)
     assert point_mass(u, x_n, n) == pytest.approx(oracle, rel=1e-10)
+
+
+# the tilted recurrence against masses read from exact tables: one ensemble
+# per series kind and weight rule, every m <= 2000
+ENGINE_CASES = {
+    "uniform": lambda: make("uniform"),
+    "weighted(y=1/2)": lambda: make("weighted", y=Fraction(1, 2)),
+    "restricted(odds)": lambda: make("restricted", parts="odds"),
+    "gibbs(1,1)": lambda: make("gibbs", theta=1, beta=1),
+    "ewens(2)": lambda: make("ewens", theta=2),
+    "double pole": lambda: Ensemble(
+        CustomSeries(lambda j: j + 1, radius=1.0,
+                     singularity=Singularity("pole", 2.0)),
+        constant_weights()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_tilted_masses_match_exact_tables(name):
+    e = ENGINE_CASES[name]()
+    x, m_max = 0.97, 2000
+    table = coefficients(e, m_max)
+    assert table.exact
+    got = _tilted_masses(e, x, m_max)
+    log_F = log_partition_value(e, x)
+    for m in range(m_max + 1):
+        want = math.exp(table.log_coefficient(m) + m * math.log(x) - log_F)
+        assert want > 0.0
+        assert got[m] == pytest.approx(want, rel=1e-10)
+    assert point_mass(e, x, m_max) == got[m_max]
+
+
+def test_tilted_masses_rescale_when_log_partition_is_large():
+    # gibbs(theta, 1): F(x) = exp(theta x/(1-x)), a_n = sum_k C(n-1,k-1)
+    # theta^k/k!. At theta = 5000, n = 1000, 1/F(x_n) underflows.
+    theta, n = 5000, 1000
+    e = make("gibbs", theta=theta, beta=1)
+    x = solve_tilt(e, n).x_n
+    log_F = theta * x / (1.0 - x)
+    assert log_F > 800.0
+    assert log_partition_value(e, x) == pytest.approx(log_F, rel=1e-13)
+    a_n = sum(Fraction(math.comb(n - 1, k - 1) * theta ** k, math.factorial(k))
+              for k in range(1, n + 1))
+    log_a = math.log(a_n.numerator) - math.log(a_n.denominator)
+    want = math.exp(log_a + n * math.log(x) - log_F)
+    assert point_mass(e, x, n) == pytest.approx(want, rel=1e-10)
+
+
+def test_tilted_masses_fall_back_to_tables_on_negative_weights():
+    # f = 1 + z + z^2 has mu_3 = 3 [z^3] log f = -2. Parts not divisible by
+    # 3 give c_3 = -2 x^3: the recurrence cannot run, and the masses come
+    # from the exact table
+    e = Ensemble(CustomSeries([1, 1, 1]),
+                 indicator_weights({"modulus": 3, "residues": [1, 2]}))
+    x, m_max = 0.8, 60
+    assert not _log_derivative_weights(e, x, m_max)[1]
+    table = coefficients(e, m_max)
+    got = _tilted_masses(e, x, m_max)
+    for m in range(m_max + 1):
+        assert got[m] == pytest.approx(
+            point_mass(e, x, m, table, check_tail=False), rel=1e-12)
+    # (1 + z)^b with b fractional is no count law, and the table says so
+    frac = Ensemble(CustomSeries([1, 1]), power_law_weights(1.0, 0.5))
+    with pytest.raises(NegativeCoefficientError):
+        point_mass(frac, 0.5, 10)
+    # distinct parts: log(1 + z) alternates, but every c_i is an odd
+    # divisor sum, so the recurrence runs and matches the table
+    strict = Ensemble(CustomSeries([1, 1]), constant_weights())
+    c, positive = _log_derivative_weights(strict, 0.9, m_max)
+    assert positive and (c[1:] > 0).all()
+    table = coefficients(strict, m_max)
+    got = _tilted_masses(strict, 0.9, m_max)
+    for m in range(m_max + 1):
+        assert got[m] == pytest.approx(
+            point_mass(strict, 0.9, m, table, check_tail=False), rel=1e-12)
+
+
+def test_point_mass_at_1e5_matches_rademacher_and_clears_floor():
+    # p(n) from the Hardy-Ramanujan-Rademacher series, F from a naive
+    # product; the unit-constant floor n^-0.85 holds from n* = 90,884
+    from sympy.functions.combinatorial.numbers import partition
+
+    n = 100_000
+    u = make("uniform")
+    x = solve_tilt(u, n).x_n
+    want = math.exp(math.log(int(partition(n))) + n * math.log(x)
+                    - math.log(partition_product(x)))
+    got = point_mass(u, x, n)
+    assert got == pytest.approx(want, rel=1e-10)
+    assert got > n ** -0.85
 
 
 def test_point_mass_validation():

@@ -333,3 +333,33 @@ def test_small_many_reuses_table():
     a = sample_small_many(u, 12, 10, seed=114, mode="exact", table=table)
     b = sample_small_many(u, 12, 10, seed=114, mode="exact")
     assert a == b
+
+
+# draws recorded before the walk iterated the table's active sizes; the
+# same seeds must keep giving the same partitions
+EXACT_WALK_GOLDEN = [
+    ("uniform", {}, 60, [
+        {1: 17, 2: 1, 3: 2, 4: 1, 5: 1, 6: 2, 7: 2},
+        {1: 14, 2: 6, 3: 1, 4: 3, 6: 2, 7: 1},
+        {1: 11, 3: 3, 4: 2, 9: 1, 11: 1, 12: 1}]),
+    ("weighted", {"y": 2}, 200, [
+        {1: 193, 2: 1, 5: 1}, {1: 190, 2: 3, 4: 1}, {1: 196, 4: 1}]),
+    ("restricted", {"parts": "odds"}, 45, [
+        {1: 7, 3: 1, 9: 1, 11: 1, 15: 1},
+        {1: 9, 3: 5, 5: 1, 7: 1, 9: 1},
+        {1: 8, 5: 1, 7: 3, 11: 1}]),
+    ("gibbs", {"theta": 1, "beta": 1}, 40, [
+        {1: 1, 2: 1, 3: 2, 5: 1, 12: 1, 14: 1},
+        {1: 1, 2: 1, 3: 1, 4: 3, 5: 1, 7: 1, 10: 1},
+        {1: 1, 2: 2, 4: 1, 9: 1, 11: 2}]),
+]
+
+
+@pytest.mark.parametrize("name,params,n,want", EXACT_WALK_GOLDEN,
+                         ids=[c[0] for c in EXACT_WALK_GOLDEN])
+def test_exact_walk_golden_draws(name, params, n, want):
+    e = make(name, **params)
+    table = coefficients(e, n, keep_prefix=True)
+    got = [sample_small_exact(e, n, RngStream(2024, i), table).counts
+           for i in range(len(want))]
+    assert got == want
