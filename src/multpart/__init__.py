@@ -37,7 +37,7 @@ from .partition_function import (CoefficientTable, coefficients,
                                  product_tail_cutoff)
 from .sampler import (Partition, RngStream, default_budget, sample_count,
                       sample_grand, sample_small_exact, sample_small_many,
-                      sample_small_rejection)
+                      sample_small_pdc, sample_small_rejection)
 from .series import (CustomSeries, ExponentialSeries, GeometricSeries,
                      PowerSeriesFunction, SeriesFunction, Singularity,
                      power_coefficients)
@@ -67,7 +67,8 @@ __all__ = [
     "power_coefficients", "power_law_weights", "predict_concentration",
     "product_tail_cutoff",
     "reference_shape", "run_suite", "sample_count", "sample_grand",
-    "sample_small_exact", "sample_small_many", "sample_small_rejection",
+    "sample_small_exact", "sample_small_many", "sample_small_pdc",
+    "sample_small_rejection",
     "scaled_diagram", "scaling_alpha", "shape_curve", "sigma_sq",
     "solve_tilt", "symmetric_rescale", "variance_ratio_probe",
     "young_function", "young_integral",

@@ -106,7 +106,7 @@ def cmd_shape(ens, tmax, grid, out):
 @click.option("--ensemble", "ens", required=True, metavar="NAME|PATH",
               help=_ENSEMBLE_HELP)
 @click.option("--mode", type=click.Choice(["grand", "small-rejection",
-                                           "small-exact"]),
+                                           "small-pdc", "small-exact"]),
               default="small-rejection", show_default=True)
 @click.option("--n", type=int, default=None,
               help="Target weight (small modes).")
@@ -138,8 +138,8 @@ def cmd_sample(ens, mode, n, x, count, seed, out):
             raise click.UsageError(f"mode {mode!r} requires --n")
         if n < 0:
             raise click.UsageError("--n must be >= 0")
-        kind = "rejection" if mode == "small-rejection" else "exact"
-        parts = sample_small_many(e, n, count, seed, mode=kind,
+        parts = sample_small_many(e, n, count, seed,
+                                  mode=mode.removeprefix("small-"),
                                   budget=cfg.numerics.budget)
         records = [p.to_record(RngStream(seed, i))
                    for i, p in enumerate(parts)]

@@ -309,7 +309,7 @@ def diagram_deviations(parts, alpha: float, n: int, grid,
 
 def concentration_experiment(e: Ensemble, n: int, replicas: int,
                              grid=None, epsilon: float = DEFAULT_EPSILON,
-                             seed: int = 0, mode: str = "rejection",
+                             seed: int = 0, mode: str = "pdc",
                              budget: int | None = None,
                              table: CoefficientTable | None = None,
                              ) -> ConcentrationReport:

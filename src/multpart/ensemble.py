@@ -81,10 +81,11 @@ class PartSet:
         rs = sorted({r % modulus for r in residues})
         rset = frozenset(rs)
         lbl = label or f"mod {modulus} residues {rs}"
-        rarr = np.array(rs)
+        table = np.zeros(modulus, dtype=bool)
+        table[rs] = True
         return cls(lbl,
                    lambda k: (k % modulus) in rset,
-                   lambda ks: np.isin(ks % modulus, rarr),
+                   lambda ks: table[ks % modulus],
                    len(rs) / modulus, finite=False)
 
     @classmethod
@@ -556,8 +557,13 @@ class Ensemble:
             start += _BLOCK
             if end_support is not None and start > end_support:
                 break
-            last = float(terms[-1])
-            if xk[-1] < 0.5 and (last < _STOP_REL * max(total, 1e-300)):
+            # the stop test reads the last size that carries weight: with
+            # odd parts only, every block ends on a size with b_k = 0
+            i = _BLOCK - 1
+            if bk[i] == 0.0:
+                nz = np.flatnonzero(bk)
+                i = nz[-1] if nz.size else i
+            if xk[i] < 0.5 and float(terms[i]) < _STOP_REL * max(total, 1e-300):
                 break
             if start > 10 ** 9:
                 raise DomainError("moment sum failed to terminate")

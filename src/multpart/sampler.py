@@ -2,10 +2,17 @@
 
 Under the product measure at parameter x the part counts R_k are
 independent, so a grand-canonical sample is one row of independent draws
-truncated where extra parts become improbable beyond certification.
-Conditioning on total size n is done two ways: rejection (redraw at the
-tilt solving mean = n until the size hits n exactly) and an exact
-conditional walk down the retained prefix rows of a coefficient table.
+truncated where extra parts become improbable beyond certification. The
+law of each count comes from one CountLaw per series kind. Conditioning
+on total size n is done three ways:
+
+- rejection: redraw at the tilt x_n solving mean = n until the size hits
+  n exactly;
+- probabilistic divide-and-conquer ("pdc"): draw the counts of sizes
+  k >= 2 at x_n, set R_1 = n - W from their weight W, and keep the draw
+  with probability P(R_1 = n - W) / max_j P(R_1 = j);
+- an exact conditional walk down the retained prefix rows of a
+  coefficient table.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .ensemble import Ensemble
 from .errors import (
@@ -28,6 +36,7 @@ from .partition_function import CoefficientTable, product_tail_cutoff
 from .series import ExponentialSeries, GeometricSeries, power_coefficients
 
 __all__ = [
+    "CountLaw",
     "Partition",
     "RngStream",
     "default_budget",
@@ -35,6 +44,7 @@ __all__ = [
     "sample_grand",
     "sample_small_exact",
     "sample_small_many",
+    "sample_small_pdc",
     "sample_small_rejection",
 ]
 
@@ -124,8 +134,8 @@ class Partition:
 # count laws
 
 
-def _count_cdf(e: Ensemble, b: float, u: float) -> np.ndarray:
-    """Cumulative masses of R (unnormalized): cum_j = sum_{i<=j} w_i u^i.
+def _count_masses(e: Ensemble, b: float, u: float) -> np.ndarray:
+    """Unnormalized masses of R: w_j u^j, w_j = [z^j] f(z)^b.
 
     For series kinds without a closed-form count law. Extended until the
     missed mass is provably below CDF_TAIL_TOL of the total f(u)^b.
@@ -135,10 +145,10 @@ def _count_cdf(e: Ensemble, b: float, u: float) -> np.ndarray:
     size = 64
     while True:
         w = np.asarray(power_coefficients(e.series, b, size), dtype=np.float64)
-        cum = np.cumsum(w * np.power(u, np.arange(size + 1)))
-        hit = np.nonzero(cum >= target)[0]
+        masses = w * np.power(u, np.arange(size + 1))
+        hit = np.nonzero(np.cumsum(masses) >= target)[0]
         if hit.size:
-            return cum[:hit[0] + 1]
+            return masses[:hit[0] + 1]
         if size >= CDF_MAX_TERMS:
             raise TailError(
                 f"count law at u={u} does not reach {CDF_TAIL_TOL} tail "
@@ -146,11 +156,156 @@ def _count_cdf(e: Ensemble, b: float, u: float) -> np.ndarray:
         size *= 4
 
 
+class CountLaw:
+    """Laws of the independent counts R_k at a list of part sizes.
+
+    Under the product measure at x, P(R_k = j) is proportional to the
+    coefficient of z^j in f(z)^{b_k} times u^j, u = x^k. One column per
+    size: draw(gen, shape) fills an array whose last axis runs over the
+    sizes, and logpmf(j) broadcasts j against that axis.
+    """
+
+    def draw(self, gen: np.random.Generator, shape: tuple) -> np.ndarray:
+        raise NotImplementedError
+
+    def take(self, cols: slice) -> "CountLaw":
+        """The laws of the sizes in columns cols."""
+        raise NotImplementedError
+
+    def _logpmf(self, j: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _mode(self) -> np.ndarray:
+        """A count within one of the most likely count, per size."""
+        raise NotImplementedError
+
+    def logpmf(self, j) -> np.ndarray:
+        """log P(R_k = j), -inf for j < 0."""
+        j = np.asarray(j)
+        inside = j >= 0
+        with np.errstate(divide="ignore"):
+            out = self._logpmf(np.where(inside, j, 0))
+        return np.where(inside, out, -np.inf)
+
+    def log_max(self) -> np.ndarray:
+        """max_j log P(R_k = j), per size."""
+        m = self._mode().astype(np.int64)
+        return np.max([self.logpmf(np.maximum(m + d, 0)) for d in (-1, 0, 1)],
+                      axis=0)
+
+
+class _NegativeBinomialLaw(CountLaw):
+    """Geometric series 1/(1 - y z): R_k is negative binomial with shape
+    b_k and success probability 1 - y u; shape 1 is geometric."""
+
+    def __init__(self, b: np.ndarray, q: np.ndarray):
+        self.b = b
+        self.q = q
+        self.p = 1.0 - q
+        unit = b == 1.0
+        self._unit = np.nonzero(unit)[0]
+        self._other = np.nonzero(~unit)[0]
+
+    def draw(self, gen, shape):
+        unit, other = self._unit, self._other
+        if not other.size:
+            # unit shape: failures before the first success
+            out = gen.geometric(self.p, size=shape)
+            out -= 1
+            return out
+        out = np.empty(shape, dtype=np.int64)
+        lead = tuple(shape[:-1])
+        if unit.size:
+            out[..., unit] = gen.geometric(
+                self.p[unit], size=lead + (unit.size,)) - 1
+        # real shape b > 0, drawn as the standard Gamma-mixed Poisson
+        out[..., other] = gen.negative_binomial(
+            self.b[other], self.p[other], size=lead + (other.size,))
+        return out
+
+    def take(self, cols):
+        return _NegativeBinomialLaw(self.b[cols], self.q[cols])
+
+    def _logpmf(self, j):
+        b = self.b
+        return (special.gammaln(j + b) - special.gammaln(b)
+                - special.gammaln(j + 1.0) + b * np.log(self.p)
+                + j * np.log(self.q))
+
+    def _mode(self):
+        return np.floor(np.maximum(self.b - 1.0, 0.0) * self.q / self.p)
+
+
+class _PoissonLaw(CountLaw):
+    """Exponential series exp(c z): R_k is Poisson with mean b_k c u."""
+
+    def __init__(self, lam: np.ndarray):
+        self.lam = lam
+
+    def draw(self, gen, shape):
+        return gen.poisson(self.lam, size=shape)
+
+    def take(self, cols):
+        return _PoissonLaw(self.lam[cols])
+
+    def _logpmf(self, j):
+        return j * np.log(self.lam) - self.lam - special.gammaln(j + 1.0)
+
+    def _mode(self):
+        return np.floor(self.lam)
+
+
+class _TabulatedLaw(CountLaw):
+    """Any other series: inverse-CDF draws from the masses _count_masses
+    certifies; a count beyond a table has mass below CDF_TAIL_TOL and is
+    given none."""
+
+    def __init__(self, masses: list[np.ndarray]):
+        self.masses = masses
+        self.cdfs = [np.cumsum(m) for m in masses]
+
+    def _log_masses(self) -> list[np.ndarray]:
+        with np.errstate(divide="ignore"):
+            return [np.log(m / cum[-1]) for m, cum in zip(self.masses, self.cdfs)]
+
+    def draw(self, gen, shape):
+        out = np.empty(shape, dtype=np.int64)
+        u = gen.random(shape)
+        for i, cum in enumerate(self.cdfs):
+            out[..., i] = np.searchsorted(cum, u[..., i] * cum[-1],
+                                          side="right")
+        return out
+
+    def take(self, cols):
+        return _TabulatedLaw(self.masses[cols])
+
+    def _logpmf(self, j):
+        j = np.broadcast_to(j, np.broadcast_shapes(j.shape, (len(self.cdfs),)))
+        out = np.full(j.shape, -np.inf)
+        for i, logp in enumerate(self._log_masses()):
+            ji = j[..., i]
+            inside = ji < logp.size
+            out[..., i][inside] = logp[ji[inside]]
+        return out
+
+    def _mode(self):
+        return np.array([np.argmax(m) for m in self.masses])
+
+
+def _count_law(e: Ensemble, bs: np.ndarray, us: np.ndarray) -> CountLaw:
+    """The laws of R_k for weights bs > 0 at u = x^k, by series kind."""
+    if isinstance(e.series, GeometricSeries):
+        return _NegativeBinomialLaw(bs, float(e.series.coefficient(1)) * us)
+    if isinstance(e.series, ExponentialSeries):
+        return _PoissonLaw(bs * float(e.series.rate) * us)
+    return _TabulatedLaw([_count_masses(e, float(b), float(u))
+                          for b, u in zip(bs, us)])
+
+
 class _GrandTable:
     """Per-(ensemble, x) sampling plan: active sizes and their count laws."""
 
-    __slots__ = ("x", "k_star", "ks", "bs", "kind", "lams", "cdfs",
-                 "geo_cols", "geo_p", "nb_cols", "nb_b", "nb_p")
+    __slots__ = ("x", "k_star", "ks", "law")
 
     def __init__(self, e: Ensemble, x: float):
         self.x = x
@@ -159,50 +314,12 @@ class _GrandTable:
         bs = e.weights.values(ks)
         active = bs > 0.0
         self.ks = ks[active]
-        self.bs = bs[active]
-        us = np.power(x, self.ks.astype(np.float64))
-        self.lams = None
-        self.cdfs = None
-        self.geo_cols = self.geo_p = self.nb_cols = self.nb_b = self.nb_p = None
-        if isinstance(e.series, GeometricSeries):
-            self.kind = "geometric"
-            p = 1.0 - float(e.series.coefficient(1)) * us
-            ones = self.bs == 1.0
-            self.geo_cols = np.nonzero(ones)[0]
-            self.geo_p = p[ones]
-            self.nb_cols = np.nonzero(~ones)[0]
-            self.nb_b = self.bs[~ones]
-            self.nb_p = p[~ones]
-        elif isinstance(e.series, ExponentialSeries):
-            self.kind = "exponential"
-            self.lams = self.bs * float(e.series.rate) * us
-        else:
-            self.kind = "general"
-            self.cdfs = [_count_cdf(e, float(b), float(u))
-                         for b, u in zip(self.bs, us)]
+        self.law = _count_law(e, bs[active],
+                              np.power(x, self.ks.astype(np.float64)))
 
     def draw(self, gen: np.random.Generator, rows: int) -> np.ndarray:
         """rows x len(ks) matrix of independent counts."""
-        shape = (rows, self.ks.size)
-        if self.kind == "geometric":
-            out = np.empty(shape, dtype=np.int64)
-            if self.geo_cols.size:
-                # unit shape: failures before the first success
-                out[:, self.geo_cols] = gen.geometric(
-                    self.geo_p[None, :], size=(rows, self.geo_cols.size)) - 1
-            if self.nb_cols.size:
-                # real shape b > 0, drawn as the standard Gamma-mixed Poisson
-                out[:, self.nb_cols] = gen.negative_binomial(
-                    self.nb_b[None, :], self.nb_p[None, :],
-                    size=(rows, self.nb_cols.size))
-            return out
-        if self.kind == "exponential":
-            return gen.poisson(self.lams, size=shape)
-        out = np.empty(shape, dtype=np.int64)
-        u = gen.random(shape)
-        for i, cum in enumerate(self.cdfs):
-            out[:, i] = np.searchsorted(cum, u[:, i] * cum[-1], side="right")
-        return out
+        return self.law.draw(gen, (rows, self.ks.size))
 
 
 def _grand_table(e: Ensemble, x: float) -> _GrandTable:
@@ -227,18 +344,12 @@ def sample_count(e: Ensemble, k: int, x: float, rng: RngStream) -> int:
     b = e.weights.value(k)
     if x == 0.0 or b == 0.0:
         return 0
-    gen = rng.generator()
     u = x ** k
-    if isinstance(e.series, GeometricSeries):
-        q = float(e.series.coefficient(1)) * u
-        return int(gen.negative_binomial(float(b), 1.0 - q))
-    if isinstance(e.series, ExponentialSeries):
-        return int(gen.poisson(b * float(e.series.rate) * u))
-    key = ("count_cdf", float(b), u)
-    cum = e._memo.get(key)
-    if cum is None:
-        cum = e._memo[key] = _count_cdf(e, float(b), u)
-    return int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
+    key = ("count_law", float(b), u)
+    law = e._memo.get(key)
+    if law is None:
+        law = e._memo[key] = _count_law(e, np.array([b]), np.array([u]))
+    return int(law.draw(rng.generator(), (1,))[0])
 
 
 def _partition_from_row(ks: np.ndarray, row: np.ndarray) -> Partition:
@@ -264,48 +375,78 @@ def sample_grand(e: Ensemble, x: float, rng: RngStream) -> Partition:
 # ---------------------------------------------------------------------------
 # fixed total size
 
+# the budget allows this many expected waits for an accepted attempt
+_BUDGET_WAITS = 20
 
-def default_budget(e: Ensemble, n: int) -> int:
-    """Rejection attempt allowance: 20 ceil(n^gamma), gamma = (b+2)/(2b+2).
 
-    The acceptance probability at the tilt decays like n^-gamma in the
-    ergodic regimes, so this allows roughly twenty expected waits. Outside
-    them (or when the growth index is unknown) the same formula is used
-    as an advisory default.
+def _split_first(tbl: _GrandTable) -> tuple[CountLaw, CountLaw]:
+    """(law of R_1, laws of R_k for k >= 2) for divide-and-conquer draws."""
+    if tbl.ks.size == 0 or tbl.ks[0] != 1:
+        raise ParamError(
+            "mode 'pdc' sets R_1 = n - W and needs b_1 > 0; use mode "
+            "'rejection' for ensembles without parts of size one")
+    return tbl.law.take(slice(0, 1)), tbl.law.take(slice(1, None))
+
+
+def default_budget(e: Ensemble, n: int, mode: str = "rejection") -> int:
+    """Attempt allowance of about twenty expected waits for an acceptance.
+
+    An attempt of the rejection sampler is accepted with probability
+    P(N = n) at the tilt x_n, which the local limit theorem puts at
+    1/sqrt(2 pi Var N(x_n)). Divide-and-conquer ("pdc") accepts with that
+    probability divided by max_j P(R_1 = j).
     """
-    beta = e.beta
-    gamma = (beta + 2.0) / (2.0 * beta + 2.0) if beta and beta > 0 else 0.75
-    return 20 * math.ceil(n ** gamma)
+    from .asymptotics import solve_tilt
+
+    if mode not in ("rejection", "pdc"):
+        raise ParamError(f"no attempt budget for sampling mode {mode!r}")
+    sol = solve_tilt(e, n)
+    rate = 1.0 / math.sqrt(2.0 * math.pi * sol.variance)
+    if mode == "pdc":
+        first, _ = _split_first(_grand_table(e, sol.x_n))
+        rate /= math.exp(float(first.log_max()[0]))
+    return math.ceil(_BUDGET_WAITS / min(rate, 1.0))
 
 
-def sample_small_rejection(e: Ensemble, n: int, rng: RngStream,
-                           budget: int | None = None) -> Partition:
-    """First grand-canonical draw at the tilt x_n with total size exactly n."""
+def _sample_fixed(e: Ensemble, n: int, rng: RngStream, budget: int | None,
+                  mode: str) -> Partition:
+    """First accepted attempt at the tilt x_n; see the two callers."""
     from .asymptotics import solve_tilt
 
     if n < 1:
         raise ParamError("n must be >= 1")
     if budget is None:
-        budget = default_budget(e, n)
+        budget = default_budget(e, n, mode)
     if budget < 1:
         raise ParamError("budget must be >= 1")
     x_n = solve_tilt(e, n).x_n
     tbl = _grand_table(e, x_n)
+    if mode == "pdc":
+        first, rest = _split_first(tbl)
+        log_top = first.log_max()
     gen = rng.generator()
     # batches grow geometrically from 16 rows: cheap when acceptance is
-    # high, amortized when it is ~n^-gamma; the fixed schedule keeps the
-    # draw reproducible
+    # high, amortized when it is small; the fixed schedule keeps the draw
+    # reproducible
     batch_cap = max(64, min(4096, _BATCH_CELLS // max(tbl.ks.size, 1)))
     batch = 16
     attempts = 0
     while attempts < budget:
         rows = min(batch, budget - attempts)
-        counts = tbl.draw(gen, rows)
-        weights = counts @ tbl.ks
-        hits = np.nonzero(weights == n)[0]
-        if hits.size:
-            attempts += int(hits[0]) + 1
-            return _partition_from_row(tbl.ks, counts[hits[0]])
+        if mode == "pdc":
+            counts = rest.draw(gen, (rows, tbl.ks.size - 1))
+            r_1 = n - counts @ tbl.ks[1:]
+            keep = np.exp(first.logpmf(r_1[:, None])[:, 0] - log_top)
+            hits = np.nonzero(gen.random(rows) < keep)[0]
+            if hits.size:
+                h = hits[0]
+                return _partition_from_row(
+                    tbl.ks, np.concatenate(([r_1[h]], counts[h])))
+        else:
+            counts = tbl.draw(gen, rows)
+            hits = np.nonzero(counts @ tbl.ks == n)[0]
+            if hits.size:
+                return _partition_from_row(tbl.ks, counts[hits[0]])
         attempts += rows
         batch = min(batch * 4, batch_cap)
     raise BudgetExhausted(
@@ -313,6 +454,27 @@ def sample_small_rejection(e: Ensemble, n: int, rng: RngStream,
         "size may be unreachable (support obstruction) or the budget too "
         "small for this acceptance rate",
         attempts=attempts, budget=budget, acceptance_estimate=0.0)
+
+
+def sample_small_rejection(e: Ensemble, n: int, rng: RngStream,
+                           budget: int | None = None) -> Partition:
+    """First grand-canonical draw at the tilt x_n with total size exactly n."""
+    return _sample_fixed(e, n, rng, budget, "rejection")
+
+
+def sample_small_pdc(e: Ensemble, n: int, rng: RngStream,
+                     budget: int | None = None) -> Partition:
+    """Exact fixed-size draw by divide-and-conquer with R_1 = n - W.
+
+    R_k for k >= 2 are drawn at the tilt x_n and R_1 is set to n - W,
+    W = sum_{k>=2} k R_k; the attempt is kept with probability
+    P(R_1 = n - W) / max_j P(R_1 = j). Given acceptance the counts have
+    the law of the grand draw conditioned on N = n (Arratia and DeSalvo,
+    Combin. Probab. Comput. 2016). Acceptance is P(N = n) / max_j
+    P(R_1 = j): for uniform about 1/(1 - x_n) times the rejection rate.
+    Needs b_1 > 0 (ParamError otherwise).
+    """
+    return _sample_fixed(e, n, rng, budget, "pdc")
 
 
 def sample_small_exact(e: Ensemble, n: int, rng: RngStream,
@@ -371,13 +533,12 @@ def sample_small_many(e: Ensemble, n: int, n_samples: int, seed: int,
                       table: CoefficientTable | None = None) -> list[Partition]:
     """n_samples fixed-size draws, replica i on stream base_stream + i.
 
-    mode "rejection" or "exact"; exact builds (or reuses) a prefix table
-    once. The stream layout makes every replica reproducible on its own.
+    mode "rejection", "pdc" or "exact"; exact builds (or reuses) a prefix
+    table once. The stream layout makes every replica reproducible on its
+    own.
     """
     if n_samples < 0:
         raise ParamError("n_samples must be >= 0")
-    if mode not in ("rejection", "exact"):
-        raise ParamError(f"unknown sampling mode {mode!r}")
     if mode == "exact":
         if table is None:
             from .partition_function import coefficients
@@ -385,5 +546,9 @@ def sample_small_many(e: Ensemble, n: int, n_samples: int, seed: int,
             table = coefficients(e, n, keep_prefix=True)
         return [sample_small_exact(e, n, RngStream(seed, base_stream + i), table)
                 for i in range(n_samples)]
-    return [sample_small_rejection(e, n, RngStream(seed, base_stream + i), budget)
+    draw = {"rejection": sample_small_rejection,
+            "pdc": sample_small_pdc}.get(mode)
+    if draw is None:
+        raise ParamError(f"unknown sampling mode {mode!r}")
+    return [draw(e, n, RngStream(seed, base_stream + i), budget)
             for i in range(n_samples)]

@@ -6,19 +6,23 @@ and asserts the criterion passed. Thresholds live in multpart.verify next
 to the measurements; the printed line restates them.
 
 Criteria 8 and 11 check asymptotic claims at sizes where they do not yet
-hold with unit constants: at t = 0.25, 0.5 and 0.75 the fixed-weight hit
-fractions (0.63, 0.79, 0.88 uniform; 0.66, 0.76, 0.84 gibbs) sit below
-0.9, and the exact point masses are 0.49-0.63 times n**-0.85. Both are
-what the exact law predicts at these n, so the criteria compare against
-the finite-n predictions; the tests at the end show that the comparisons
-still reject what is wrong.
+hold with unit constants: at t = 0.25 the fixed-weight hit fractions are
+predicted at 0.57 (uniform) and 0.64 (gibbs), below 0.9, and the exact
+point masses are 0.49-0.63 times n**-0.85. Both are what the exact law
+predicts at these n, so the criteria compare against the finite-n
+predictions; the tests at the end show that the comparisons still reject
+what is wrong. At n = 10**6 the uniform prediction clears 0.9 everywhere,
+and the last test checks concentration there.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from multpart import (RngStream, diagram_deviations, make,
+from multpart import (RngStream, concentration_experiment,
+                      diagram_deviations, make,
                       predict_concentration, sample_grand, solve_tilt,
                       verify)
 from multpart import diagnostics
@@ -138,3 +142,22 @@ def test_mass_floor_rejects_scaled_masses(monkeypatch):
     res = verify.criterion_mass_floor()
     assert not res.passed, res.line()
 
+
+
+def test_concentration_at_a_million():
+    # at n = 10**6 the fluctuations of the diagram are small enough that
+    # every predicted hit fraction clears 0.9; the measured ones must
+    # agree with the prediction, and divide-and-conquer sampling keeps
+    # the 100 replicas within a minute
+    t0 = time.perf_counter()
+    rep = concentration_experiment(make("uniform"), 10 ** 6, 100,
+                                   epsilon=0.05, seed=12)
+    elapsed = time.perf_counter() - t0
+    print(f"n=1e6 hit measured/predicted "
+          + " ".join(f"{h:.2f}/{p:.2f}" for h, p in
+                     zip(rep.hit_fractions, rep.prediction.hit_fractions))
+          + f" ({elapsed:.1f}s)")
+    assert min(rep.prediction.hit_fractions) >= 0.9
+    assert verify.concentration_verdict(
+        [(rep.prediction, rep.hit_fractions, rep.replicas)]) == (True, True)
+    assert elapsed < 60.0

@@ -121,6 +121,26 @@ def test_sample_gibbs_small_exact_beyond_float_factorials():
     assert sum(k * r for k, r in rec["counts"]) == 171
 
 
+def test_sample_small_pdc_records():
+    args = ("sample", "--ensemble", "uniform", "--mode", "small-pdc",
+            "--n", "40000", "--count", "2", "--seed", "3")
+    res = run_cli(*args)
+    assert res.exit_code == 0, res.output
+    recs = [json.loads(line) for line in res.output.strip().splitlines()]
+    assert [r["stream"] for r in recs] == [0, 1]
+    for rec in recs:
+        assert rec["n"] == 40000
+        assert sum(k * r for k, r in rec["counts"]) == 40000
+    assert run_cli(*args).output == res.output
+
+
+def test_sample_small_pdc_without_size_one_exits_1():
+    res = run_cli("sample", "--ensemble", "restricted:parts=evens", "--mode",
+                  "small-pdc", "--n", "8")
+    assert res.exit_code == 1
+    assert "rejection" in res.stderr
+
+
 def test_sample_weight_zero_is_empty_partition():
     res = run_cli("sample", "--ensemble", "uniform", "--mode", "small-exact",
                   "--n", "0", "--seed", "2")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multpart.asymptotics import solve_tilt
 from multpart.catalog import make
 from multpart.ensemble import (Ensemble, PartSet, Regime, WeightSequence,
                                check_condition_10, check_condition_11,
@@ -284,3 +285,18 @@ def test_condition_11_bounded_prefix_out_of_scope():
     w = explicit_weights(values)
     rep = check_condition_11(w)
     assert rep.out_of_scope
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+def test_odds_mean_at_tilt_counts_every_block(n):
+    # every block of sizes ends on an even size with b_k = 0; the stop
+    # rule must still read the odd sizes, or sizes beyond the first
+    # block are dropped and the tilt overshoots
+    e = make("restricted", parts="odds")
+    x = solve_tilt(e, n).x_n
+    k_max = math.ceil(60.0 / -math.log(x))
+    mean, _ = direct_mean_var(lambda k: k % 2, lambda u: (1.0 / (1.0 - u),
+                                                          1.0 / (1.0 - u) ** 2),
+                              x, k_max)
+    assert abs(e.mean_N(x) - mean) <= 1e-9 * n
+    assert abs(mean - n) <= 1e-9 * n

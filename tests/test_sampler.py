@@ -9,6 +9,7 @@ from scipy import stats
 
 from multpart import (
     BudgetExhausted,
+    CustomSeries,
     EmptySupportError,
     GeometricSeries,
     Ensemble,
@@ -21,11 +22,14 @@ from multpart import (
     default_budget,
     explicit_weights,
     make,
+    point_mass,
     sample_count,
     sample_grand,
     sample_small_exact,
     sample_small_many,
+    sample_small_pdc,
     sample_small_rejection,
+    solve_tilt,
 )
 
 from oracles import partitions_into
@@ -157,6 +161,37 @@ def test_count_law_inverse_cdf_matches_closed_form():
     assert p > 0.01
 
 
+def test_count_law_masses():
+    # logpmf and log_max of each law kind against scipy's closed forms;
+    # the custom copy of the geometric series takes the tabulated route
+    from multpart import Singularity
+    from multpart.sampler import _count_law
+
+    js = np.arange(60)
+    geo = Ensemble(GeometricSeries(0.5), constant_weights())
+    law = _count_law(geo, np.array([1.0, 2.5]), np.array([0.9, 0.9]))
+    want = np.array([stats.nbinom(b, 0.55).logpmf(js) for b in (1.0, 2.5)]).T
+    assert np.allclose(law.logpmf(js[:, None]), want, rtol=1e-12)
+    assert np.allclose(law.log_max(), want.max(axis=0), rtol=1e-12)
+    pois = _count_law(make("ordered_lists"), np.array([1.0, 3.0]),
+                      np.array([0.9, 0.9]))
+    want = np.array([stats.poisson(lam).logpmf(js) for lam in (0.9, 2.7)]).T
+    assert np.allclose(pois.logpmf(js[:, None]), want, rtol=1e-12)
+    assert np.allclose(pois.log_max(), want.max(axis=0), rtol=1e-12)
+    custom = Ensemble(CustomSeries(lambda j: 1.0, radius=1.0,
+                                   singularity=Singularity("pole", 1)),
+                      constant_weights())
+    tab = _count_law(custom, np.array([1.0]), np.array([0.6]))
+    got = tab.logpmf(js[:, None])[:, 0]
+    # the table stops once the missed mass 0.6^(j+1) is below 1e-12
+    top = math.ceil(math.log(1e-12) / math.log(0.6)) - 1
+    assert np.allclose(got[:top], stats.geom(0.4, loc=-1).logpmf(js[:top]),
+                       rtol=1e-12)
+    assert np.all(got[top + 1:] == -np.inf)
+    assert tab.log_max()[0] == pytest.approx(math.log(0.4), rel=1e-12)
+    assert tab.logpmf([-1])[0] == -np.inf
+
+
 def test_count_trivial_cases():
     u = make("uniform")
     assert sample_count(u, 3, 0.0, RngStream(1)) == 0
@@ -232,12 +267,34 @@ def _empirical(draws):
     return out
 
 
-def test_default_budget_formula():
-    u = make("uniform")  # beta = 1 -> gamma = 0.75
-    assert default_budget(u, 100) == 20 * math.ceil(100 ** 0.75)
-    assert default_budget(u, 1) == 20
-    ew = make("ewens")  # growth index unknown -> fallback gamma = 0.75
-    assert default_budget(ew, 16) == 20 * 8
+BUDGET_CASES = [
+    ("uniform", {}, 5), ("weighted", {"y": 0.5}, 5), ("uniform", {}, 50),
+    ("uniform", {}, 200), ("gibbs", {"theta": 1, "beta": 1}, 100),
+    ("restricted", {"parts": "odds"}, 100), ("uniform", {}, 40_000),
+]
+
+
+@pytest.mark.parametrize("mode", ["rejection", "pdc"])
+@pytest.mark.parametrize("name,params,n", BUDGET_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in BUDGET_CASES])
+def test_default_budget_allows_twenty_waits(name, params, n, mode):
+    # an attempt succeeds with probability P(N = n) at x_n, exact from the
+    # point-mass recurrence; pdc divides it by max_j P(R_1 = j)
+    e = make(name, **params)
+    x = solve_tilt(e, n).x_n
+    rate = point_mass(e, x, n)
+    if mode == "pdc":
+        # R_1 is Poisson(x) for gibbs and geometric with ratio y x for the
+        # rest; at x < 1 both are most likely 0
+        rate /= (math.exp(-x) if name == "gibbs"
+                 else 1.0 - e.series.coefficient(1) * x)
+    waits = default_budget(e, n, mode) * rate
+    assert 15.0 <= waits <= 25.0
+
+
+def test_default_budget_rejects_unknown_mode():
+    with pytest.raises(ParamError):
+        default_budget(make("uniform"), 10, "exact")
 
 
 def test_rejection_law_uniform():
@@ -273,6 +330,72 @@ def test_rejection_and_exact_agree():
                       [cb.get(p, 0) for p in support]])
     p = stats.chi2_contingency(table).pvalue
     assert p > 0.01
+
+
+def _gibbs_weight(k, r):
+    return 1.0 / math.factorial(r)  # exp(z): g_r = 1/r!
+
+
+PDC_LAWS = [
+    ("uniform", lambda k, r: 1.0),
+    ("weighted", lambda k, r: 0.5 ** r),
+    ("gibbs", _gibbs_weight),
+    ("strict", lambda k, r: float(r <= 1)),
+]
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("name,part_weight", PDC_LAWS,
+                         ids=[c[0] for c in PDC_LAWS])
+def test_pdc_law_matches_enumeration(name, part_weight, n):
+    law = {p: w for p, w in _law_table(n, part_weight).items() if w > 0}
+    m = 3000
+    draws = sample_small_many(_golden_ensemble(name), n, m, seed=115 + n,
+                              mode="pdc")
+    counts = _empirical(draws)
+    assert set(counts) <= set(law)
+    obs = [counts.get(p, 0) for p in law]
+    p = stats.chisquare(obs, [m * w for w in law.values()]).pvalue
+    assert p > 0.01
+
+
+def test_pdc_and_exact_agree():
+    # criterion 6's contingency test, divide-and-conquer against the walk
+    w = make("weighted", y=0.5)
+    a = sample_small_many(w, 8, 3000, seed=116, mode="pdc")
+    b = sample_small_many(w, 8, 3000, seed=117, mode="exact")
+    support = sorted({*a, *b}, key=lambda p: sorted(p.counts.items()))
+    ca, cb = _empirical(a), _empirical(b)
+    table = np.array([[ca.get(p, 0) for p in support],
+                      [cb.get(p, 0) for p in support]])
+    assert stats.chi2_contingency(table).pvalue > 0.01
+
+
+@pytest.mark.parametrize("name,n", [("uniform", 40_000), ("weighted", 3000),
+                                    ("gibbs", 2000), ("strict", 300),
+                                    ("restricted", 501)])
+def test_pdc_draws_have_weight_n(name, n):
+    e = (make(name, parts="odds") if name == "restricted"
+         else _golden_ensemble(name))
+    for p in sample_small_many(e, n, 3, seed=118, mode="pdc"):
+        assert p.weight == n
+        assert sum(k * r for k, r in p.counts.items()) == n
+        assert all(r >= 1 for r in p.counts.values())
+
+
+def test_pdc_is_reproducible():
+    u = make("uniform")
+    assert (sample_small_pdc(u, 500, RngStream(119, 4))
+            == sample_small_many(u, 500, 5, seed=119, mode="pdc")[4])
+
+
+def test_pdc_needs_parts_of_size_one():
+    evens = make("restricted", parts="evens")
+    with pytest.raises(ParamError, match="rejection"):
+        sample_small_pdc(evens, 8, RngStream(1))
+    with pytest.raises(ParamError, match="rejection"):
+        default_budget(evens, 8, "pdc")
+    assert sample_small_rejection(evens, 8, RngStream(1)).weight == 8
 
 
 def test_exact_sampler_weight_exactness():
@@ -361,5 +484,83 @@ def test_exact_walk_golden_draws(name, params, n, want):
     e = make(name, **params)
     table = coefficients(e, n, keep_prefix=True)
     got = [sample_small_exact(e, n, RngStream(2024, i), table).counts
+           for i in range(len(want))]
+    assert got == want
+
+
+def _golden_ensemble(name):
+    if name == "strict":
+        return Ensemble(CustomSeries([1, 1]), constant_weights())
+    if name == "mixed":
+        # unit and non-unit shapes side by side on a geometric series
+        return Ensemble(GeometricSeries(1), explicit_weights([1, 2, 0.5, 1]))
+    return make(name, **{"weighted": {"y": 0.5},
+                         "gibbs": {"theta": 1, "beta": 1}}.get(name, {}))
+
+
+# draws recorded before the count laws moved behind CountLaw; the same
+# seeds must keep giving the same partitions
+REJECTION_GOLDEN = [
+    ("uniform", [{1: 5, 4: 1, 9: 1, 12: 1}, {1: 2, 3: 1, 4: 3, 5: 1, 8: 1},
+                 {1: 3, 2: 2, 3: 1, 6: 1, 7: 2}]),
+    ("weighted", [{1: 3, 2: 2, 4: 1, 19: 1}, {2: 2, 3: 1, 6: 1, 17: 1},
+                  {3: 3, 4: 1, 17: 1}]),
+    ("gibbs", [{1: 1, 4: 1, 8: 1, 17: 1}, {1: 1, 4: 1, 12: 1, 13: 1},
+               {1: 1, 2: 1, 4: 1, 6: 1, 7: 1, 10: 1}]),
+    ("strict", [{1: 1, 5: 1, 7: 1, 8: 1, 9: 1}, {6: 1, 11: 1, 13: 1},
+                {2: 1, 4: 1, 5: 1, 8: 1, 11: 1}]),
+]
+
+GRAND_GOLDEN = [
+    ("uniform", 0.9, [
+        {4: 1, 5: 1, 6: 3, 8: 1, 11: 1, 12: 1, 15: 3, 19: 2, 21: 1, 25: 1,
+         42: 1},
+        {1: 9, 2: 1, 3: 2, 4: 7, 8: 1, 9: 1, 12: 3, 14: 1, 22: 1},
+        {1: 8, 2: 3, 3: 1, 7: 1, 8: 1, 20: 1, 21: 1, 22: 1, 26: 1}]),
+    ("weighted", 0.9, [{1: 8, 2: 1, 8: 1, 17: 1, 21: 1, 27: 1, 44: 1},
+                       {1: 1, 4: 2, 12: 2, 14: 1},
+                       {1: 1, 3: 2, 20: 1, 22: 1, 26: 1}]),
+    ("gibbs", 0.8, [{1: 2, 6: 1, 14: 1, 17: 1}, {1: 1, 3: 1, 10: 1},
+                    {1: 1, 2: 1, 18: 1}]),
+    ("strict", 0.8, [{1: 1, 8: 1, 17: 1}, {1: 1, 4: 1, 12: 1}, {1: 1, 3: 1}]),
+    ("mixed", 0.8, [{2: 2, 3: 1}, {1: 4, 2: 1}, {1: 4, 2: 1}]),
+]
+
+
+# divide-and-conquer draws as first released; (seed, stream) fixes them
+PDC_GOLDEN = [
+    ("uniform", [{1: 12, 2: 1, 3: 2, 10: 1}, {2: 3, 5: 1, 9: 1, 10: 1},
+                 {1: 5, 4: 3, 6: 1, 7: 1}]),
+    ("weighted", [{3: 2, 11: 1, 13: 1}, {7: 1, 8: 1, 15: 1}, {7: 1, 23: 1}]),
+    ("gibbs", [{3: 1, 5: 1, 10: 1, 12: 1}, {7: 1, 11: 1, 12: 1},
+               {1: 2, 5: 1, 6: 2, 11: 1}]),
+    ("strict", [{3: 1, 4: 1, 6: 1, 8: 1, 9: 1}, {5: 1, 11: 1, 14: 1},
+                {2: 1, 4: 1, 7: 1, 8: 1, 9: 1}]),
+]
+
+
+@pytest.mark.parametrize("name,want", REJECTION_GOLDEN,
+                         ids=[c[0] for c in REJECTION_GOLDEN])
+def test_rejection_golden_draws(name, want):
+    e = _golden_ensemble(name)
+    got = [sample_small_rejection(e, 30, RngStream(2024, i)).counts
+           for i in range(len(want))]
+    assert got == want
+
+
+@pytest.mark.parametrize("name,want", PDC_GOLDEN,
+                         ids=[c[0] for c in PDC_GOLDEN])
+def test_pdc_golden_draws(name, want):
+    e = _golden_ensemble(name)
+    got = [sample_small_pdc(e, 30, RngStream(2024, i)).counts
+           for i in range(len(want))]
+    assert got == want
+
+
+@pytest.mark.parametrize("name,x,want", GRAND_GOLDEN,
+                         ids=[c[0] for c in GRAND_GOLDEN])
+def test_grand_golden_draws(name, x, want):
+    e = _golden_ensemble(name)
+    got = [sample_grand(e, x, RngStream(2025, i)).counts
            for i in range(len(want))]
     assert got == want
