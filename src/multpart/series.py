@@ -22,6 +22,19 @@ tail integrals read them directly.
 
 Truncated evaluation of user-supplied coefficient series is only trusted up
 to 0.999*rho_1; nearer the singularity the closed-form kinds must be used.
+
+A CustomSeries keeps g_0, g_1, ... in one cached float array. A polynomial
+stores its sequence once. A coefficient rule fills the array by doubling,
+calls the rule at most once per index, and stops at 10^6 + 1 entries or
+where the rule leaves the float range. A rule is summed at u through the
+first j > 8 with g_j u^j < 1e-16 f, f being the sum of the terms up to j;
+when no cached j qualifies, evaluation raises DomainError. The sums f, f',
+f'' and f''' at many points are one matrix product: the powers
+u^0..u^{m-1}, one row per point, times the rows (g_j, (j+1) g_{j+1},
+(j+1)(j+2) g_{j+2}, (j+1)(j+2)(j+3) g_{j+3}), so nothing is divided by u.
+Points are taken largest first: every point in (u_m^2, u_m] takes the term
+count of the largest one, u_m, and the power rows are built in chunks of
+about 2^20 entries.
 """
 
 from __future__ import annotations
@@ -41,8 +54,10 @@ Number = Union[int, float, Fraction]
 # fraction of the radius: the geometric tail bound degenerates there.
 EVAL_RADIUS_FRACTION = 0.999
 _REL_TOL = 1e-16
-_EPS = float(np.finfo(np.float64).eps)
+_EPS_LONG = float(np.finfo(np.longdouble).eps)
 _MAX_TERMS = 10 ** 6
+# largest power matrix built at once, in entries
+_CHUNK_ENTRIES = 1 << 20
 
 
 def _as_exact(value: Number) -> Fraction | None:
@@ -128,39 +143,25 @@ class SeriesFunction:
         return self.eval_with_derivatives(math.exp(-v))[1:]
 
     def h_vector(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (h(u), h'(u)) for moment sums. Default: scalar loop."""
-        h = np.empty_like(u)
-        hp = np.empty_like(u)
-        for i, ui in enumerate(u):
-            _, h[i], hp[i], _ = self.eval_with_derivatives(float(ui))
-        return h, hp
+        """Vectorized (h(u), h'(u)) for moment sums.
+
+        Default: from the power sums f, f', f'' at all points at once.
+        """
+        s = self._power_sums(u)
+        h = s[:, 1] / s[:, 0]
+        return h, s[:, 2] / s[:, 0] - h * h
+
+    def _power_sums(self, u: np.ndarray) -> np.ndarray:
+        """Rows (f, f', f'', f''') at the points of u, domain checked."""
+        raise NotImplementedError
 
     def log_value(self, u: float) -> float:
         """ln f(u), stable when f(u) is near 1 or very large."""
         return math.log(self.eval_with_derivatives(u)[0])
 
     def log_coefficients(self, j_max: int, scale: float = 1.0) -> np.ndarray:
-        """nu_j = j [z^j] log f(scale z) for j = 0..j_max, nu_0 = 0.
-
-        Default: the log-series recurrence j g_j = sum_{i<=j} nu_i g_{j-i}
-        on the tilted coefficients g_j scale^j. Values within rounding of
-        zero are set to zero, so a sign that survives is a real one.
-        """
-        g = np.array([self.coefficient(j) * scale ** j
-                      for j in range(j_max + 1)], dtype=np.float64)
-        nz = np.nonzero(g[1:])[0]
-        top = int(nz[-1]) + 1 if nz.size else 0
-        # grev[t] = g_{top-t}, so each step is one contiguous dot
-        grev = g[top:0:-1].copy()
-        nu = np.zeros(j_max + 1)
-        for j in range(1, j_max + 1):
-            lo = max(1, j - top)
-            head = j * g[j] if j <= top else 0.0
-            terms = grev[top - j + lo:top]
-            v = head - np.dot(nu[lo:j], terms)
-            size = head + np.dot(np.abs(nu[lo:j]), terms)
-            nu[j] = 0.0 if abs(v) <= 4 * j * _EPS * size else v
-        return nu
+        """nu_j = j [z^j] log f(scale z) for j = 0..j_max, nu_0 = 0."""
+        raise NotImplementedError
 
     def _check_domain(self, u: float, truncated: bool) -> None:
         if u < 0:
@@ -324,6 +325,30 @@ class ExponentialSeries(SeriesFunction):
         return ExponentialSeries(self.rate * scale)
 
 
+def _term_rows(g: np.ndarray, m: int) -> np.ndarray:
+    """Rows j < m of (g_j, (j+1) g_{j+1}, (j+1)(j+2) g_{j+2}, (j+1)(j+2)(j+3) g_{j+3}).
+
+    u^j times row j is the j-th term of (f, f', f'', f'''); g is zero past
+    its end.
+    """
+    rows = np.zeros((m + 3, 4))
+    n = min(g.size, m + 3)
+    rows[:n, 0] = g[:n]
+    a = np.arange(1.0, m + 3)
+    for k in (1, 2, 3):
+        rows[:-1, k] = a * rows[1:, k - 1]
+    return rows[:m]
+
+
+def _powers(u: np.ndarray, m: int) -> np.ndarray:
+    """u^0..u^{m-1} along the last axis, with 0^0 = 1."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = np.multiply.outer(np.log(u), np.arange(m, dtype=np.float64))
+        np.exp(p, out=p)
+    p[..., 0] = 1.0
+    return p
+
+
 class CustomSeries(SeriesFunction):
     """A series given by its coefficients, with declared radius/singularity.
 
@@ -342,6 +367,9 @@ class CustomSeries(SeriesFunction):
             self._seq = None
             if not (radius > 0):
                 raise ParamError("callable coefficients need a positive radius")
+            # the cached coefficients; _full once the rule can add no more
+            self._g = np.zeros(0)
+            self._full = False
         else:
             self._seq = list(coefficients)
             self._fn = None
@@ -349,7 +377,9 @@ class CustomSeries(SeriesFunction):
                 raise ParamError("coefficient sequence must start with g_0 = 1")
             if any(g < 0 for g in self._seq):
                 raise ParamError("coefficients must be nonnegative")
-        if self._fn is not None and self._fn(0) != 1:
+            self._g = np.array(self._seq, dtype=np.float64)
+            self._full = True
+        if self._fn is not None and self.coefficient(0) != 1:
             raise ParamError("coefficient rule must give g_0 = 1")
         # g_1 > 0 keeps single-part partitions in the support (a_1 > 0).
         if not (self.coefficient(1) > 0):
@@ -369,10 +399,29 @@ class CustomSeries(SeriesFunction):
     def truncated_eval(self) -> bool:
         return not self._is_polynomial
 
+    def _grow(self, m: int) -> None:
+        """Cache at least m coefficients of the rule, if it can give them."""
+        have = self._g.size
+        if self._full or m <= have:
+            return
+        g = []
+        for j in range(have, min(max(m, 2 * have), _MAX_TERMS + 1)):
+            try:
+                v = float(self._fn(j))
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
+                self._full = True
+                break
+            g.append(v)
+        self._g = np.concatenate((self._g, g))
+        self._full = self._full or self._g.size > _MAX_TERMS
+
     def coefficient(self, j: int) -> float:
-        if self._seq is not None:
-            return float(self._seq[j]) if j < len(self._seq) else 0.0
-        return float(self._fn(j))
+        self._grow(j + 1)
+        if j < self._g.size:
+            return float(self._g[j])
+        return 0.0 if self._is_polynomial else float(self._fn(j))
 
     def exact_coefficient(self, j: int) -> Fraction | None:
         if self._seq is not None:
@@ -381,40 +430,98 @@ class CustomSeries(SeriesFunction):
             g = self._fn(j)
         return _as_exact(g)
 
-    def eval_with_derivatives(self, u):
+    def _term_count(self, u: float) -> int:
+        """Number of terms summed at u and at every smaller point."""
+        if self._is_polynomial:
+            return self._g.size
+        # bounded coefficients reach the stop near j = 37/|ln u|: search
+        # there first, the window doubling only for growing coefficients
+        m = 16
+        if 0.0 < u < 1.0:
+            m = min(max(m, int(-40.0 / math.log(u))), _MAX_TERMS + 1)
+        while True:
+            self._grow(m)
+            g = self._g[:m]
+            with np.errstate(invalid="ignore"):   # 0 * inf past the float range
+                t = g * _powers(u, g.size)
+            f = np.cumsum(t)
+            hit = np.flatnonzero(t[9:] < _REL_TOL * f[9:])
+            if hit.size:
+                return int(hit[0]) + 10
+            # no more terms to try, or the partial sums left the float range
+            if g.size < m or not math.isfinite(f[-1]):
+                raise DomainError(
+                    f"coefficient series did not converge numerically at u={u}")
+            m *= 2
+
+    def _power_sums(self, u):
         # Polynomials are exact anywhere; genuine series are truncated and
         # refuse evaluation too close to the declared radius.
-        self._check_domain(u, truncated=not self._is_polynomial)
-        f = 1.0
-        d1 = d2 = d3 = 0.0
-        term = 1.0
-        j = 0
-        limit = len(self._seq) - 1 if self._seq is not None else _MAX_TERMS
-        while j < limit:
-            j += 1
-            g = self.coefficient(j)
-            uj = u ** j
-            t = g * uj
-            f += t
-            if u > 0:
-                d1 += j * t / u
-                d2 += j * (j - 1) * g * u ** (j - 2) if j >= 2 else 0.0
-                d3 += j * (j - 1) * (j - 2) * g * u ** (j - 3) if j >= 3 else 0.0
-            elif j == 1:
-                d1 += g
-            elif j == 2:
-                d2 += 2 * g
-            elif j == 3:
-                d3 += 6 * g
-            term = abs(t)
-            if self._seq is None and j > 8 and term < _REL_TOL * f:
-                break
-        if self._seq is None and j >= _MAX_TERMS:
-            raise DomainError("coefficient series did not converge numerically")
+        u = np.asarray(u, dtype=np.float64)
+        out = np.empty((u.size, 4))
+        if not u.size:
+            return out
+        order = np.argsort(-u)
+        neg = -u[order]
+        truncated = self.truncated_eval
+        self._check_domain(-float(neg[-1]), truncated)
+        self._check_domain(-float(neg[0]), truncated)
+        start = 0
+        while start < u.size:
+            top = -float(neg[start])
+            if not truncated:
+                end = u.size
+            else:
+                end = max(int(np.searchsorted(neg, -top * top, side="right")),
+                          start + 1)
+            m = self._term_count(top)
+            # the derivative weights of the last rows read g_m..g_{m+2}; with
+            # them cached, a point's sums do not depend on the cache's history
+            self._grow(m + 3)
+            rows = _term_rows(self._g, m)
+            step = max(1, _CHUNK_ENTRIES // m)
+            for lo in range(start, end, step):
+                hi = min(lo + step, end)
+                out[order[lo:hi]] = _powers(-neg[lo:hi], m) @ rows
+            start = end
+        return out
+
+    def eval_with_derivatives(self, u):
+        f, d1, d2, d3 = self._power_sums(np.array([u]))[0].tolist()
         h = d1 / f
         hp = d2 / f - h * h
         hpp = d3 / f - 3.0 * (d2 / f) * h + 2.0 * h ** 3
         return f, h, hp, hpp
+
+    def log_coefficients(self, j_max, scale=1.0):
+        """The log-series recurrence j g_j = sum_{i<=j} nu_i g_{j-i}.
+
+        It runs on the tilted coefficients g_j scale^j in extended precision:
+        nu_j is a difference of terms about j^2 times larger. Values within
+        rounding of zero are set to zero, so a sign that survives is a real
+        one. Tilted coefficients below the float64 range are dropped.
+        """
+        self._grow(j_max + 1)
+        g = np.zeros(j_max + 1, dtype=np.longdouble)
+        have = min(self._g.size, j_max + 1)
+        g[:have] = self._g[:have]
+        if not self._is_polynomial:
+            g[have:] = [float(self._fn(j)) for j in range(have, j_max + 1)]
+        g *= np.power(np.longdouble(scale), np.arange(j_max + 1))
+        nz = np.nonzero(g[1:].astype(np.float64))[0]
+        top = int(nz[-1]) + 1 if nz.size else 0
+        # grev[t] = g_{top-t}, so each step is one contiguous product with
+        # the rows nu and |nu|
+        grev = g[top:0:-1].copy()
+        nu = np.zeros((2, j_max + 1), dtype=np.longdouble)
+        for j in range(1, j_max + 1):
+            lo = max(1, j - top)
+            head = j * g[j] if j <= top else 0.0
+            d, size = np.dot(nu[:, lo:j], grev[top - j + lo:top])
+            v = head - d
+            if abs(v) > 4 * j * _EPS_LONG * (head + size):
+                nu[:, j] = v, abs(v)
+        return nu[0].astype(np.float64)
 
     def tilted(self, scale: float) -> "CustomSeries":
         if not (scale > 0):

@@ -173,3 +173,27 @@ def direct_mean_var(b_of_k, g_ratio, x: float, k_max: int):
         mean += k * b * u * h
         var += k * k * b * (u * h + u * u * hp)
     return mean, var
+
+
+def term_loop_bundle(coefficient, u: float, n_terms: int | None = None):
+    """(f, h, h', h'') of sum_j g_j u^j by a term-by-term loop.
+
+    coefficient(j) gives g_j. A polynomial passes its length n_terms; a
+    series is summed through the first j > 8 with g_j u^j < 1e-16 f.
+    """
+    f, d1, d2, d3 = 1.0, 0.0, 0.0, 0.0
+    for j in count(1):
+        if n_terms is not None and j >= n_terms:
+            break
+        g = coefficient(j)
+        t = g * u ** j
+        f += t
+        d1 += j * g * u ** (j - 1)
+        if j >= 2:
+            d2 += j * (j - 1) * g * u ** (j - 2)
+        if j >= 3:
+            d3 += j * (j - 1) * (j - 2) * g * u ** (j - 3)
+        if n_terms is None and j > 8 and t < 1e-16 * f:
+            break
+    h = d1 / f
+    return f, h, d2 / f - h * h, d3 / f - 3.0 * (d2 / f) * h + 2.0 * h ** 3

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -227,6 +228,22 @@ def test_tilt_near_pole_for_nonergodic_family():
     assert res.exit_code == 0
     x_n = float(res.output.splitlines()[0].partition(" = ")[2])
     assert (0.5 - x_n) * 1000 == pytest.approx(0.5, abs=0.05)
+
+
+def test_tilt_strict_partitions_from_yaml(tmp_path):
+    # f = 1 + z, constant weights: mean N(x) = sum_k k x^k / (1 + x^k)
+    path = tmp_path / "strict.yaml"
+    path.write_text("f:\n  kind: custom\n  coefficients: [1, 1]\n"
+                    "weights:\n  rule: constant\n")
+    n = 10 ** 6
+    res = run_cli("tilt", "--ensemble", str(path), "--n", str(n))
+    assert res.exit_code == 0
+    x_n = float(res.output.splitlines()[0].partition(" = ")[2])
+    k = np.arange(1, 200_000, dtype=np.float64)
+    xk = np.exp(k * math.log(x_n))
+    assert xk[-1] < 1e-60
+    mean = float(np.sum(k * xk / (1.0 + xk)))
+    assert abs(mean - n) <= 1e-9 * n
 
 
 def test_tilt_nonpositive_n_exits_1():

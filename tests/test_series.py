@@ -1,16 +1,18 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multpart.errors import DomainError, NegativeCoefficientError, ParamError
-from multpart.series import (CustomSeries, ExponentialSeries, GeometricSeries,
-                             PowerSeriesFunction, Singularity,
+from multpart.series import (_MAX_TERMS, CustomSeries, ExponentialSeries,
+                             GeometricSeries, PowerSeriesFunction, Singularity,
                              power_coefficients)
 
-from oracles import central_diff, poly_mul
+from oracles import central_diff, poly_mul, term_loop_bundle
 
 
 def test_geometric_bundle_at_half():
@@ -178,3 +180,165 @@ def test_exact_coefficients_flag():
     assert GeometricSeries(1).is_rational
     assert not GeometricSeries(0.3).is_rational
     assert ExponentialSeries(2).is_rational
+
+
+# -- custom-series evaluation against closed forms ---------------------------
+
+_EPS = float(np.finfo(np.float64).eps)
+# zero, the smallest subnormal, then 0.998^k for k = 4096, 2048, ..., 1
+EVAL_GRID = [0.0, 5e-324] + [0.998 ** (2 ** i) for i in range(12, -1, -1)]
+
+
+def _polynomial_bundle(gs):
+    """Exact (h, h', h'') of the polynomial sum_j gs[j] u^j at a float u."""
+    def bundle(u):
+        q = Fraction(u)
+        d = [sum(Fraction(math.perm(j, r)) * g * q ** (j - r)
+                 for j, g in enumerate(gs) if j >= r) for r in range(4)]
+        h = d[1] / d[0]
+        return (float(h), float(d[2] / d[0] - h * h),
+                float(d[3] / d[0] - 3 * (d[2] / d[0]) * h + 2 * h ** 3))
+    return bundle
+
+
+def _double_pole_bundle(u):
+    # f = 1/(1-u)^2: h = 2/(1-u), h' = 2/(1-u)^2, h'' = 4/(1-u)^3
+    d = 1 - Fraction(u)
+    return float(2 / d), float(2 / d ** 2), float(4 / d ** 3)
+
+
+CLOSED_FORMS = [
+    ("strict", lambda: CustomSeries([1, 1]), _polynomial_bundle([1, 1]), 2),
+    ("multiplicity<=3", lambda: CustomSeries([1, 1, 1, 1]),
+     _polynomial_bundle([1, 1, 1, 1]), 4),
+    ("geometric", lambda: CustomSeries(lambda j: 1.0, radius=1),
+     lambda u: GeometricSeries(1).eval_with_derivatives(u)[1:], None),
+    ("double pole", lambda: CustomSeries(lambda j: j + 1, radius=1),
+     _double_pole_bundle, None),
+]
+
+
+def _max_rel_err(values, exact):
+    values, exact = np.asarray(values), np.asarray(exact)
+    return np.max(np.abs(values - exact) / np.abs(exact), axis=0)
+
+
+@pytest.mark.parametrize("name,make,closed,n_terms", CLOSED_FORMS,
+                         ids=[c[0] for c in CLOSED_FORMS])
+def test_custom_evaluation_matches_closed_form(name, make, closed, n_terms):
+    # The sums stop where the term-by-term loop stops, so both carry the
+    # same truncation error; the new sums may differ from it by rounding.
+    sf = make()
+    exact = np.array([closed(u) for u in EVAL_GRID])
+    loop = np.array([term_loop_bundle(sf.coefficient, u, n_terms)[1:]
+                     for u in EVAL_GRID])
+    scalar = np.array([sf.eval_with_derivatives(u)[1:] for u in EVAL_GRID])
+    vector = np.column_stack(sf.h_vector(np.array(EVAL_GRID)))
+    bound = 1.01 * _max_rel_err(loop, exact) + 4 * _EPS
+    assert (_max_rel_err(scalar, exact) <= bound).all()
+    assert (_max_rel_err(vector, exact[:, :2]) <= bound[:2]).all()
+    assert _max_rel_err(vector, exact[:, :2])[0] < 2e-12
+
+
+@pytest.mark.parametrize("name,make,closed,n_terms", CLOSED_FORMS,
+                         ids=[c[0] for c in CLOSED_FORMS])
+def test_unsorted_vector_matches_scalar_calls(name, make, closed, n_terms):
+    sf = make()
+    u = np.array(EVAL_GRID)
+    perm = np.random.default_rng(5).permutation(u.size)
+    h, hp = sf.h_vector(u[perm])
+    sorted_h, sorted_hp = sf.h_vector(u)
+    assert np.array_equal(h, sorted_h[perm])
+    assert np.array_equal(hp, sorted_hp[perm])
+    scalar = np.array([sf.eval_with_derivatives(float(v))[1:3] for v in u[perm]])
+    # a point summed beside a larger one takes that point's term count, so it
+    # keeps terms below 1e-16 f that its own count drops
+    tol = (4 * _EPS, 8 * _EPS) if n_terms else (1e-12, 5e-11)
+    assert _max_rel_err(h, scalar[:, 0]) <= tol[0]
+    assert _max_rel_err(hp, scalar[:, 1]) <= tol[1]
+
+
+def test_h_vector_accepts_empty_input():
+    for sf in (CustomSeries([1, 1]), CustomSeries(lambda j: j + 1, radius=1)):
+        h, hp = sf.h_vector(np.array([]))
+        assert h.shape == hp.shape == (0,)
+
+
+@pytest.mark.parametrize("sf,bad", [
+    (CustomSeries(lambda j: j + 1, radius=1), -1e-3),
+    (CustomSeries(lambda j: j + 1, radius=1), 0.9995),
+    (CustomSeries(lambda j: j + 1, radius=1), 1.0),
+    (CustomSeries([1, 1], radius=2.0), 2.0),
+    (CustomSeries([1, 1]), -0.5),
+])
+def test_h_vector_refuses_any_point_out_of_range(sf, bad):
+    for pos in (0, 3, 6):
+        u = np.linspace(0.1, 0.5, 7)
+        u[pos] = bad
+        with pytest.raises(DomainError):
+            sf.h_vector(u)
+    with pytest.raises(DomainError):
+        sf.eval_with_derivatives(bad)
+
+
+def test_divergent_declaration_raises_domain_error():
+    # g_j = 2^j really has radius 1/2: at u = 0.9 the terms never fall
+    sf = CustomSeries(lambda j: 2.0 ** j, radius=1)
+    with pytest.raises(DomainError):
+        sf.eval_with_derivatives(0.9)
+    with pytest.raises(DomainError):
+        sf.h_vector(np.array([0.1, 0.9]))
+    assert sf.eval_with_derivatives(0.1)[0] == pytest.approx(1 / 0.8)
+    # (j + 1) 4^-j: the float coefficients underflow where 3.9^j overflows
+    tilted = CustomSeries(lambda j: j + 1, radius=1).tilted(0.25)
+    assert tilted.eval_with_derivatives(2.0)[1] == pytest.approx(1.0)
+    with pytest.raises(DomainError):
+        tilted.eval_with_derivatives(3.9)
+
+
+def test_rule_called_once_per_index():
+    calls = Counter()
+
+    def rule(j):
+        calls[j] += 1
+        return j + 1
+
+    sf = CustomSeries(rule, radius=1)
+    u = np.array(EVAL_GRID)
+    for _ in range(2):
+        sf.h_vector(u)
+        sf.h_vector(u[::-1])
+        for v in EVAL_GRID:
+            sf.eval_with_derivatives(v)
+        sf.log_coefficients(300, 0.9)
+        assert [sf.coefficient(j) for j in range(5)] == [1, 2, 3, 4, 5]
+    assert max(calls.values()) == 1
+    assert sorted(calls) == list(range(len(calls)))
+
+
+def test_rule_cache_stops_at_max_terms():
+    # bounded terms need about 37/|ln u| = 3.7e6 of them at u = 1 - 1e-5
+    calls = Counter()
+
+    def rule(j):
+        calls[j] += 1
+        return 1.0
+
+    sf = CustomSeries(rule, radius=10.0)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="did not converge"):
+            sf.eval_with_derivatives(1 - 1e-5)
+    assert len(calls) == _MAX_TERMS + 1
+    assert max(calls.values()) == 1
+
+
+def test_log_coefficients_of_double_pole_keep_their_digits():
+    # log 1/(1-z)^2 = sum_j 2 z^j / j, so nu_j = 2 x^j exactly; the
+    # recurrence cancels terms about j^2 times larger than nu_j
+    x, j_max = 0.97, 2000
+    sf = CustomSeries(lambda j: j + 1, radius=1.0,
+                      singularity=Singularity("pole", 2.0))
+    nu = sf.log_coefficients(j_max, x)
+    js = np.arange(1, j_max + 1)
+    assert nu[0] == 0.0
+    assert np.max(np.abs(nu[1:] / (2.0 * x ** js) - 1.0)) <= 5e-11
