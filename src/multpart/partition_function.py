@@ -144,13 +144,8 @@ def log_partition_value(e: Ensemble, x: float,
         return 0.0
     cutoff = product_tail_cutoff(e, x, tol)
     ks = np.arange(1, cutoff + 1)
-    bs = e.weights.values(ks)
-    series = e.series
-    total = 0.0
-    for k, b in zip(ks.tolist(), bs.tolist()):
-        if b != 0.0:
-            total += b * series.log_value(x ** k)
-    return total
+    us = np.power(x, ks.astype(np.float64))
+    return float(np.dot(e.weights.values(ks), e.series.log_values(us)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,19 @@ on total size n is done three ways:
   with probability P(R_1 = n - W) / max_j P(R_1 = j);
 - an exact conditional walk down the retained prefix rows of a
   coefficient table.
+
+A pdc attempt draws only the counts that are nonzero, about sqrt(n) of
+the k* sizes. It is a Poisson process over the sizes, with rate_k at
+size k, so L = sum_k rate_k points per attempt on average. A batch of
+attempts puts Poisson(rows * rate_k) points at each size k and each
+point in a uniformly chosen attempt. For an exponential series the rate
+is the Poisson mean and R_k is the number of points at k. For a
+geometric series R_k is negative binomial, which is compound Poisson:
+clusters fall at rate -b_k log(1 - q_k) and each has a logarithmic size,
+P(s) = q_k^s / (s (-log(1 - q_k))). For any other series a size is hit
+at rate -log P(R_k = 0), so it is hit exactly when R_k >= 1, and a hit
+size draws R_k from its law given R_k >= 1. Rejection and grand draws
+keep one dense row of all k* counts.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -51,8 +65,8 @@ __all__ = [
 GRAND_TAIL_TOL = 1e-9
 CDF_TAIL_TOL = 1e-12
 CDF_MAX_TERMS = 10 ** 6
-# batches sized to roughly 2^21 matrix cells keep memory modest while
-# amortizing generator call overhead
+# batches sized to roughly 2^21 matrix cells, or expected points of a
+# sparse draw, keep memory modest while amortizing generator call overhead
 _BATCH_CELLS = 1 << 21
 
 
@@ -162,11 +176,44 @@ class CountLaw:
     Under the product measure at x, P(R_k = j) is proportional to the
     coefficient of z^j in f(z)^{b_k} times u^j, u = x^k. One column per
     size: draw(gen, shape) fills an array whose last axis runs over the
-    sizes, and logpmf(j) broadcasts j against that axis.
+    sizes, and logpmf(j) broadcasts j against that axis. draw_sparse gives
+    the same law as the nonzero counts only, from a Poisson process over
+    the sizes with the rates _rates.
     """
 
     def draw(self, gen: np.random.Generator, shape: tuple) -> np.ndarray:
         raise NotImplementedError
+
+    def draw_sparse(self, gen: np.random.Generator, rows: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, column, count) of the nonzero counts of rows independent draws.
+
+        Entries that share a row and a column add up to that count.
+        """
+        raise NotImplementedError
+
+    @property
+    def _rates(self) -> np.ndarray:
+        """Rate of the Poisson process of draw_sparse at each size."""
+        raise NotImplementedError
+
+    def expected_points(self) -> float:
+        """L, the expected number of points of one sparse draw."""
+        return float(self._rates.sum())
+
+    def _points(self, gen: np.random.Generator, rows: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) of each point of rows independent processes.
+
+        Poisson(rows * rate) points fall at each size, each in a row drawn
+        uniformly; by Poisson splitting the rows are then independent
+        processes with the given rates. Drawing a size per point instead,
+        by a search over the cumulative rates, gives the same law at many
+        times the cost: each search misses the cache.
+        """
+        col = np.repeat(np.arange(self._rates.size),
+                        gen.poisson(rows * self._rates))
+        return gen.integers(rows, size=col.size), col
 
     def take(self, cols: slice) -> "CountLaw":
         """The laws of the sizes in columns cols."""
@@ -223,6 +270,15 @@ class _NegativeBinomialLaw(CountLaw):
             self.b[other], self.p[other], size=lead + (other.size,))
         return out
 
+    @cached_property
+    def _rates(self):
+        # compound Poisson: clusters at rate -b log(1 - q), logarithmic sizes
+        return -self.b * np.log1p(-self.q)
+
+    def draw_sparse(self, gen, rows):
+        row, col = self._points(gen, rows)
+        return row, col, gen.logseries(self.q[col])
+
     def take(self, cols):
         return _NegativeBinomialLaw(self.b[cols], self.q[cols])
 
@@ -244,6 +300,14 @@ class _PoissonLaw(CountLaw):
 
     def draw(self, gen, shape):
         return gen.poisson(self.lam, size=shape)
+
+    @property
+    def _rates(self):
+        return self.lam
+
+    def draw_sparse(self, gen, rows):
+        row, col = self._points(gen, rows)
+        return row, col, np.ones(row.size, dtype=np.int64)
 
     def take(self, cols):
         return _PoissonLaw(self.lam[cols])
@@ -276,6 +340,38 @@ class _TabulatedLaw(CountLaw):
                                           side="right")
         return out
 
+    @cached_property
+    def _tails(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, start, total): the CDF of R - 1 given R >= 1 of column c
+        is keys[start[c]:] with real part c, unnormalized, up to total[c]."""
+        tails = [np.cumsum(m[1:]) for m in self.masses]
+        sizes = np.array([t.size for t in tails])
+        keys = np.concatenate(
+            [c + 1j * t for c, t in enumerate(tails)] + [np.zeros(0)])
+        total = np.array([t[-1] if t.size else 0.0 for t in tails])
+        return keys, np.cumsum(sizes) - sizes, total
+
+    @cached_property
+    def _rates(self):
+        # -log P(R = 0) = log(1 + P(R >= 1) / P(R = 0)), the mass of R = 0
+        # being [z^0] f^b = 1: a size is hit with probability 1 - P(R = 0)
+        return np.log1p(self._tails[2])
+
+    def draw_sparse(self, gen, rows):
+        row, col = self._points(gen, rows)
+        # a size hit twice in a row is hit once; np.sort then a mask, since
+        # np.unique takes about a hundred times as long on a batch. Sorting
+        # by column first keeps the search below cache-friendly.
+        key = np.sort(col * rows + row)
+        col, row = np.divmod(key[np.diff(key, prepend=-1) != 0], rows)
+        keys, start, total = self._tails
+        # complex numbers order by real part, then imaginary part: one
+        # search finds each count within its own column's CDF at full
+        # double resolution
+        v = gen.random(col.size) * total[col]
+        at = np.searchsorted(keys, col + 1j * v, side="right")
+        return row, col, at - start[col] + 1
+
     def take(self, cols):
         return _TabulatedLaw(self.masses[cols])
 
@@ -305,7 +401,7 @@ def _count_law(e: Ensemble, bs: np.ndarray, us: np.ndarray) -> CountLaw:
 class _GrandTable:
     """Per-(ensemble, x) sampling plan: active sizes and their count laws."""
 
-    __slots__ = ("x", "k_star", "ks", "law")
+    __slots__ = ("x", "k_star", "ks", "law", "_split")
 
     def __init__(self, e: Ensemble, x: float):
         self.x = x
@@ -316,10 +412,26 @@ class _GrandTable:
         self.ks = ks[active]
         self.law = _count_law(e, bs[active],
                               np.power(x, self.ks.astype(np.float64)))
+        self._split = None
 
     def draw(self, gen: np.random.Generator, rows: int) -> np.ndarray:
         """rows x len(ks) matrix of independent counts."""
         return self.law.draw(gen, (rows, self.ks.size))
+
+    def split_first(self) -> tuple[CountLaw, CountLaw]:
+        """(law of R_1, laws of R_k for k >= 2) for divide-and-conquer draws.
+
+        Kept on the table, so the sparse draw's cumulative rates are built
+        once per (ensemble, x).
+        """
+        if self._split is None:
+            if self.ks.size == 0 or self.ks[0] != 1:
+                raise ParamError(
+                    "mode 'pdc' sets R_1 = n - W and needs b_1 > 0; use mode "
+                    "'rejection' for ensembles without parts of size one")
+            self._split = (self.law.take(slice(0, 1)),
+                           self.law.take(slice(1, None)))
+        return self._split
 
 
 def _grand_table(e: Ensemble, x: float) -> _GrandTable:
@@ -358,6 +470,15 @@ def _partition_from_row(ks: np.ndarray, row: np.ndarray) -> Partition:
     return Partition(counts, int((ks[nz] * row[nz]).sum()))
 
 
+def _partition_from_entries(n: int, r_1: int, ks: np.ndarray,
+                            cnt: np.ndarray) -> Partition:
+    """Partition of weight n with r_1 ones plus cnt[i] parts of size ks[i]."""
+    counts = {1: r_1} if r_1 else {}
+    for k, j in sorted(zip(ks.tolist(), cnt.tolist())):
+        counts[k] = counts.get(k, 0) + j
+    return Partition(counts, n)
+
+
 def sample_grand(e: Ensemble, x: float, rng: RngStream) -> Partition:
     """A full partition under the independent-count measure at x.
 
@@ -379,15 +500,6 @@ def sample_grand(e: Ensemble, x: float, rng: RngStream) -> Partition:
 _BUDGET_WAITS = 20
 
 
-def _split_first(tbl: _GrandTable) -> tuple[CountLaw, CountLaw]:
-    """(law of R_1, laws of R_k for k >= 2) for divide-and-conquer draws."""
-    if tbl.ks.size == 0 or tbl.ks[0] != 1:
-        raise ParamError(
-            "mode 'pdc' sets R_1 = n - W and needs b_1 > 0; use mode "
-            "'rejection' for ensembles without parts of size one")
-    return tbl.law.take(slice(0, 1)), tbl.law.take(slice(1, None))
-
-
 def default_budget(e: Ensemble, n: int, mode: str = "rejection") -> int:
     """Attempt allowance of about twenty expected waits for an acceptance.
 
@@ -403,7 +515,7 @@ def default_budget(e: Ensemble, n: int, mode: str = "rejection") -> int:
     sol = solve_tilt(e, n)
     rate = 1.0 / math.sqrt(2.0 * math.pi * sol.variance)
     if mode == "pdc":
-        first, _ = _split_first(_grand_table(e, sol.x_n))
+        first, _ = _grand_table(e, sol.x_n).split_first()
         rate /= math.exp(float(first.log_max()[0]))
     return math.ceil(_BUDGET_WAITS / min(rate, 1.0))
 
@@ -421,27 +533,33 @@ def _sample_fixed(e: Ensemble, n: int, rng: RngStream, budget: int | None,
         raise ParamError("budget must be >= 1")
     x_n = solve_tilt(e, n).x_n
     tbl = _grand_table(e, x_n)
+    width = tbl.ks.size
     if mode == "pdc":
-        first, rest = _split_first(tbl)
+        first, rest = tbl.split_first()
         log_top = first.log_max()
+        ks_rest = tbl.ks[1:]
+        width = math.ceil(rest.expected_points())
     gen = rng.generator()
     # batches grow geometrically from 16 rows: cheap when acceptance is
     # high, amortized when it is small; the fixed schedule keeps the draw
     # reproducible
-    batch_cap = max(64, min(4096, _BATCH_CELLS // max(tbl.ks.size, 1)))
+    batch_cap = max(64, min(4096, _BATCH_CELLS // max(width, 1)))
     batch = 16
     attempts = 0
     while attempts < budget:
         rows = min(batch, budget - attempts)
         if mode == "pdc":
-            counts = rest.draw(gen, (rows, tbl.ks.size - 1))
-            r_1 = n - counts @ tbl.ks[1:]
+            row, col, cnt = rest.draw_sparse(gen, rows)
+            weight = np.bincount(row, weights=ks_rest[col] * cnt,
+                                 minlength=rows)
+            r_1 = n - weight.astype(np.int64)
             keep = np.exp(first.logpmf(r_1[:, None])[:, 0] - log_top)
             hits = np.nonzero(gen.random(rows) < keep)[0]
             if hits.size:
                 h = hits[0]
-                return _partition_from_row(
-                    tbl.ks, np.concatenate(([r_1[h]], counts[h])))
+                mine = row == h
+                return _partition_from_entries(
+                    n, int(r_1[h]), ks_rest[col[mine]], cnt[mine])
         else:
             counts = tbl.draw(gen, rows)
             hits = np.nonzero(counts @ tbl.ks == n)[0]
@@ -473,6 +591,14 @@ def sample_small_pdc(e: Ensemble, n: int, rng: RngStream,
     Combin. Probab. Comput. 2016). Acceptance is P(N = n) / max_j
     P(R_1 = j): for uniform about 1/(1 - x_n) times the rejection rate.
     Needs b_1 > 0 (ParamError otherwise).
+
+    An attempt draws only the nonzero R_k, as a Poisson process over the
+    sizes k >= 2, so it costs about the number of parts, not k*. An
+    exponential series puts points at rate b_k c x^k, one part each. A
+    geometric series puts clusters at rate -b_k log(1 - q_k), q_k = y x^k,
+    and a cluster adds a logarithmic number of parts,
+    P(s) = q_k^s / (s (-log(1 - q_k))). Any other series hits a size at
+    rate -log P(R_k = 0) and then draws R_k given R_k >= 1 by inverse CDF.
     """
     return _sample_fixed(e, n, rng, budget, "pdc")
 

@@ -159,6 +159,10 @@ class SeriesFunction:
         """ln f(u), stable when f(u) is near 1 or very large."""
         return math.log(self.eval_with_derivatives(u)[0])
 
+    def log_values(self, u: np.ndarray) -> np.ndarray:
+        """ln f at every point of u, domain checked."""
+        raise NotImplementedError
+
     def log_coefficients(self, j_max: int, scale: float = 1.0) -> np.ndarray:
         """nu_j = j [z^j] log f(scale z) for j = 0..j_max, nu_0 = 0."""
         raise NotImplementedError
@@ -248,6 +252,13 @@ class GeometricSeries(SeriesFunction):
         self._check_domain(u, truncated=False)
         return -math.log1p(-self._y * u)
 
+    def log_values(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        if u.size:
+            self._check_domain(float(u.min()), truncated=False)
+            self._check_domain(float(u.max()), truncated=False)
+        return -np.log1p(-self._y * u)
+
     def log_coefficients(self, j_max, scale=1.0):
         # log 1/(1 - y z) = sum_j (y z)^j / j
         nu = np.power(self._y * scale, np.arange(j_max + 1, dtype=np.float64))
@@ -302,6 +313,12 @@ class ExponentialSeries(SeriesFunction):
 
     def log_value(self, u):
         self._check_domain(u, truncated=False)
+        return self._c * u
+
+    def log_values(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        if u.size:
+            self._check_domain(float(u.min()), truncated=False)
         return self._c * u
 
     def log_coefficients(self, j_max, scale=1.0):
@@ -454,9 +471,10 @@ class CustomSeries(SeriesFunction):
                     f"coefficient series did not converge numerically at u={u}")
             m *= 2
 
-    def _power_sums(self, u):
+    def _power_sums(self, u, drop_constant: bool = False):
         # Polynomials are exact anywhere; genuine series are truncated and
-        # refuse evaluation too close to the declared radius.
+        # refuse evaluation too close to the declared radius. drop_constant
+        # leaves out g_0, so the first column is f - 1 at full precision.
         u = np.asarray(u, dtype=np.float64)
         out = np.empty((u.size, 4))
         if not u.size:
@@ -479,6 +497,8 @@ class CustomSeries(SeriesFunction):
             # them cached, a point's sums do not depend on the cache's history
             self._grow(m + 3)
             rows = _term_rows(self._g, m)
+            if drop_constant:
+                rows[0, 0] = 0.0
             step = max(1, _CHUNK_ENTRIES // m)
             for lo in range(start, end, step):
                 hi = min(lo + step, end)
@@ -492,6 +512,9 @@ class CustomSeries(SeriesFunction):
         hp = d2 / f - h * h
         hpp = d3 / f - 3.0 * (d2 / f) * h + 2.0 * h ** 3
         return f, h, hp, hpp
+
+    def log_values(self, u):
+        return np.log1p(self._power_sums(u, drop_constant=True)[:, 0])
 
     def log_coefficients(self, j_max, scale=1.0):
         """The log-series recurrence j g_j = sum_{i<=j} nu_i g_{j-i}.
@@ -601,6 +624,9 @@ class PowerSeriesFunction(SeriesFunction):
 
     def log_value(self, u):
         return self._b * self.base.log_value(u)
+
+    def log_values(self, u):
+        return self._b * self.base.log_values(u)
 
     def log_coefficients(self, j_max, scale=1.0):
         return self._b * self.base.log_coefficients(j_max, scale)

@@ -2,13 +2,18 @@
 
 Everything here is deliberately naive: enumeration, term-by-term series
 arithmetic, and O(n^2) convolutions, written without touching the package
-internals so a bug cannot hide in shared code.
+internals so a bug cannot hide in shared code. The one exception is
+dense_pdc_draw: it runs the sampler's own count laws through the dense
+divide-and-conquer attempt, which draws every count, so that the sparse
+attempt can be checked against it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+
+import numpy as np
 
 
 def partitions_into(n: int, allowed=None, max_part: int | None = None):
@@ -197,3 +202,38 @@ def term_loop_bundle(coefficient, u: float, n_terms: int | None = None):
             break
     h = d1 / f
     return f, h, d2 / f - h * h, d3 / f - 3.0 * (d2 / f) * h + 2.0 * h ** 3
+
+
+def log_partition_loop(log_value, b_of_k, x: float, cutoff: int) -> float:
+    """sum_{k <= cutoff} b_k log f(x^k), one scalar evaluation per size."""
+    total = 0.0
+    for k in range(1, cutoff + 1):
+        b = b_of_k(k)
+        if b != 0.0:
+            total += b * log_value(x ** k)
+    return total
+
+
+def dense_pdc_draw(table, n: int, gen, budget: int = 10 ** 6,
+                   rows: int = 64) -> dict:
+    """One divide-and-conquer draw that draws every count of an attempt.
+
+    table is the sampler's grand table at the tilt x_n: its part sizes
+    ks, ks[0] = 1, and its count laws. Each attempt draws R_k for all
+    k >= 2 in one dense row, sets R_1 = n - W and is kept with
+    probability P(R_1 = n - W) / max_j P(R_1 = j); the first kept attempt
+    of a batch of rows wins. Returns {k: R_k} over the nonzero counts.
+    """
+    first = table.law.take(slice(0, 1))
+    rest = table.law.take(slice(1, None))
+    log_top = first.log_max()
+    ks = table.ks
+    for _ in range(0, budget, rows):
+        counts = rest.draw(gen, (rows, ks.size - 1))
+        r_1 = n - counts @ ks[1:]
+        keep = np.exp(first.logpmf(r_1[:, None])[:, 0] - log_top)
+        hits = np.nonzero(gen.random(rows) < keep)[0]
+        if hits.size:
+            row = np.concatenate(([r_1[hits[0]]], counts[hits[0]]))
+            return {int(k): int(r) for k, r in zip(ks, row) if r}
+    raise RuntimeError(f"no draw of size {n} in {budget} attempts")

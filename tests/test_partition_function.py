@@ -8,6 +8,7 @@ import pytest
 from multpart import (
     CustomSeries,
     Ensemble,
+    GeometricSeries,
     Singularity,
     constant_weights,
     indicator_weights,
@@ -27,8 +28,8 @@ from multpart import (
 )
 from multpart.partition_function import _log_derivative_weights, _tilted_masses
 
-from oracles import (exp_factor, geometric_factor, partition_count,
-                     partition_product, product_coefficients,
+from oracles import (exp_factor, geometric_factor, log_partition_loop,
+                     partition_count, partition_product, product_coefficients,
                      weighted_partition_sum)
 
 
@@ -188,6 +189,33 @@ def test_log_partition_value_uniform():
     want = -sum(math.log1p(-0.5 ** k) for k in range(1, 400))
     assert got == pytest.approx(want, abs=1e-12)
     assert log_partition_value(make("uniform"), 0.0) == 0.0
+
+
+# one ensemble per series kind; the custom rule is summed to about 40/(1 - x)
+# terms a point, so it stops at n = 1000
+LOG_F_CASES = {
+    "geometric": (lambda: make("uniform"), [10, 1000, 100_000]),
+    "exponential": (lambda: make("gibbs", theta=1, beta=1),
+                    [10, 1000, 100_000]),
+    "custom": (lambda: Ensemble(CustomSeries([1, 1]), constant_weights()),
+               [10, 1000, 100_000]),
+    "custom-rule": (lambda: Ensemble(
+        CustomSeries(lambda j: j + 1.0, radius=1.0,
+                     singularity=Singularity("pole", 2.0)),
+        constant_weights()), [10, 1000]),
+    "power": (lambda: Ensemble(GeometricSeries(1) ** 0.5, constant_weights()),
+              [10, 1000, 100_000]),
+}
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name, (_, ns) in
+                                    LOG_F_CASES.items() for n in ns])
+def test_log_partition_value_matches_scalar_loop(name, n):
+    e = LOG_F_CASES[name][0]()
+    x = solve_tilt(e, n).x_n
+    want = log_partition_loop(e.series.log_value, e.weights.value, x,
+                              product_tail_cutoff(e, x))
+    assert log_partition_value(e, x) == pytest.approx(want, rel=1e-13)
 
 
 def test_log_partition_value_matches_coefficients():

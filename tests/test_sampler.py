@@ -32,7 +32,7 @@ from multpart import (
     solve_tilt,
 )
 
-from oracles import partitions_into
+from oracles import dense_pdc_draw, partitions_into
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +336,22 @@ def _gibbs_weight(k, r):
     return 1.0 / math.factorial(r)  # exp(z): g_r = 1/r!
 
 
+# the shapes b_k of the "mixed" ensemble, a geometric series with y = 1
+MIXED_WEIGHTS = [1, 2, 0.5, 1]
+
+
+def _mixed_weight(k, r):
+    # [z^r] (1 - z)^(-b) = C(b + r - 1, r); b = 0 past the support
+    b = MIXED_WEIGHTS[k - 1] if k <= len(MIXED_WEIGHTS) else 0.0
+    return math.prod((b + i) / (i + 1) for i in range(r))
+
+
 PDC_LAWS = [
     ("uniform", lambda k, r: 1.0),
     ("weighted", lambda k, r: 0.5 ** r),
     ("gibbs", _gibbs_weight),
     ("strict", lambda k, r: float(r <= 1)),
+    ("mixed", _mixed_weight),
 ]
 
 
@@ -359,6 +370,51 @@ def test_pdc_law_matches_enumeration(name, part_weight, n):
     assert p > 0.01
 
 
+SPARSE_LAWS = ["uniform", "weighted", "mixed", "gibbs", "strict", "quartic"]
+
+
+@pytest.mark.parametrize("name", SPARSE_LAWS)
+def test_sparse_draw_marginals(name):
+    # R_k of unconditioned sparse draws at x = 0.8 against its pmf, k <= 3:
+    # negative binomial with unit shape (uniform, weighted) and with shapes
+    # 2 and 0.5 (mixed), Poisson (gibbs), tabulated (strict, quartic)
+    from multpart.sampler import _grand_table
+
+    e = (Ensemble(CustomSeries([1, 1, 1, 1]), constant_weights())
+         if name == "quartic" else _golden_ensemble(name))
+    law = _grand_table(e, 0.8).law
+    m = 20_000
+    row, col, cnt = law.draw_sparse(RngStream(120).generator(), m)
+    assert np.all((row >= 0) & (row < m)) and np.all(cnt >= 1)
+    pmf = np.exp(law.logpmf(np.arange(200)[:, None]))
+    for c in range(3):
+        at = col == c
+        r = np.bincount(row[at], weights=cnt[at], minlength=m).astype(int)
+        # one cell per count j with m P(R = j) >= 5, the last one open
+        cells = int(np.argmin(m * pmf[:, c] >= 5))
+        obs = np.bincount(np.minimum(r, cells - 1), minlength=cells)
+        probs = pmf[:cells, c].copy()
+        probs[-1] = 1.0 - probs[:-1].sum()
+        assert stats.chisquare(obs, m * probs).pvalue > 0.01
+
+
+@pytest.mark.parametrize("name", ["uniform", "gibbs", "strict", "mixed"])
+def test_sparse_pdc_matches_dense(name):
+    # sparse attempts against the dense ones that draw every count
+    from multpart.sampler import _grand_table
+
+    e, n, m = _golden_ensemble(name), 8, 3000
+    table = _grand_table(e, solve_tilt(e, n).x_n)
+    gen = RngStream(123).generator()
+    a = [Partition.make(dense_pdc_draw(table, n, gen)) for _ in range(m)]
+    b = sample_small_many(e, n, m, seed=124, mode="pdc")
+    support = sorted({*a, *b}, key=lambda p: sorted(p.counts.items()))
+    ca, cb = _empirical(a), _empirical(b)
+    table = np.array([[ca.get(p, 0) for p in support],
+                      [cb.get(p, 0) for p in support]])
+    assert stats.chi2_contingency(table).pvalue > 0.01
+
+
 def test_pdc_and_exact_agree():
     # criterion 6's contingency test, divide-and-conquer against the walk
     w = make("weighted", y=0.5)
@@ -373,7 +429,8 @@ def test_pdc_and_exact_agree():
 
 @pytest.mark.parametrize("name,n", [("uniform", 40_000), ("weighted", 3000),
                                     ("gibbs", 2000), ("strict", 300),
-                                    ("restricted", 501)])
+                                    ("restricted", 501), ("strict", 100_000),
+                                    ("gibbs", 100_000)])
 def test_pdc_draws_have_weight_n(name, n):
     e = (make(name, parts="odds") if name == "restricted"
          else _golden_ensemble(name))
@@ -493,7 +550,7 @@ def _golden_ensemble(name):
         return Ensemble(CustomSeries([1, 1]), constant_weights())
     if name == "mixed":
         # unit and non-unit shapes side by side on a geometric series
-        return Ensemble(GeometricSeries(1), explicit_weights([1, 2, 0.5, 1]))
+        return Ensemble(GeometricSeries(1), explicit_weights(MIXED_WEIGHTS))
     return make(name, **{"weighted": {"y": 0.5},
                          "gibbs": {"theta": 1, "beta": 1}}.get(name, {}))
 
@@ -527,15 +584,19 @@ GRAND_GOLDEN = [
 ]
 
 
-# divide-and-conquer draws as first released; (seed, stream) fixes them
+# divide-and-conquer draws, re-recorded when an attempt began to draw only
+# its nonzero counts: the sparse attempt takes other numbers from the
+# stream than the dense one did, for the same law (see the sparse-versus-
+# dense and enumeration tests); (seed, stream) fixes them
 PDC_GOLDEN = [
-    ("uniform", [{1: 12, 2: 1, 3: 2, 10: 1}, {2: 3, 5: 1, 9: 1, 10: 1},
-                 {1: 5, 4: 3, 6: 1, 7: 1}]),
-    ("weighted", [{3: 2, 11: 1, 13: 1}, {7: 1, 8: 1, 15: 1}, {7: 1, 23: 1}]),
-    ("gibbs", [{3: 1, 5: 1, 10: 1, 12: 1}, {7: 1, 11: 1, 12: 1},
-               {1: 2, 5: 1, 6: 2, 11: 1}]),
-    ("strict", [{3: 1, 4: 1, 6: 1, 8: 1, 9: 1}, {5: 1, 11: 1, 14: 1},
-                {2: 1, 4: 1, 7: 1, 8: 1, 9: 1}]),
+    ("uniform", [{1: 9, 2: 7, 7: 1}, {2: 3, 3: 2, 4: 1, 14: 1},
+                 {2: 1, 4: 5, 8: 1}]),
+    ("weighted", [{1: 1, 3: 2, 5: 1, 6: 3}, {3: 1, 4: 1, 5: 1, 9: 2},
+                  {2: 1, 3: 6, 5: 2}]),
+    ("gibbs", [{2: 2, 6: 1, 7: 1, 13: 1}, {1: 2, 4: 1, 6: 1, 7: 1, 11: 1},
+               {2: 2, 4: 1, 6: 1, 7: 1, 9: 1}]),
+    ("strict", [{1: 1, 2: 1, 8: 1, 19: 1}, {2: 1, 3: 1, 6: 1, 7: 1, 12: 1},
+                {1: 1, 7: 1, 10: 1, 12: 1}]),
 ]
 
 
