@@ -20,8 +20,7 @@ from scipy import stats
 from .asymptotics import limit_shape, solve_tilt
 from .ensemble import Ensemble, Regime
 from .errors import ParamError, RegimeError
-from .partition_function import (CoefficientTable, coefficients,
-                                 product_tail_cutoff)
+from .partition_function import CoefficientTable, product_tail_cutoff
 from .sampler import Partition, sample_small_many
 
 __all__ = [
@@ -311,7 +310,6 @@ def concentration_experiment(e: Ensemble, n: int, replicas: int,
                              grid=None, epsilon: float = DEFAULT_EPSILON,
                              seed: int = 0, mode: str = "pdc",
                              budget: int | None = None,
-                             table: CoefficientTable | None = None,
                              ) -> ConcentrationReport:
     """Sample `replicas` fixed-weight partitions and compare each rescaled
     diagram with the limit shape on the grid.
@@ -332,7 +330,7 @@ def concentration_experiment(e: Ensemble, n: int, replicas: int,
         if spacing > 0 and abs(_shape_slope(e, t)) * spacing >= epsilon / 4.0)
 
     parts = sample_small_many(e, n, replicas, seed, mode=mode,
-                              budget=budget, table=table)
+                              budget=budget)
     for p in parts:
         assert young_integral(p) == n
     dev = diagram_deviations(parts, pred.alpha, n, grid, pred.shape_values)
@@ -446,16 +444,15 @@ def _weights_bounded_below(e: Ensemble) -> bool:
 def degenerate_shape_probe(e: Ensemble, n: int, replicas: int, seed: int = 0,
                            table: CoefficientTable | None = None,
                            ) -> DegenerateShapeReport:
-    """Exact-sampler survey of the large-part mass fraction at weight n."""
+    """Exact-sampler survey of the large-part mass fraction at weight n;
+    table is ignored (it fed the exact sampler's former prefix walk)."""
     if e.regime is not Regime.NONERGODIC_GRAND_CANONICAL:
         raise RegimeError(
             f"degenerate shape probe expects NonergodicGrandCanonical; "
             f"{e.label or 'ensemble'} is {e.regime}")
     if replicas < 1:
         raise ParamError("need at least one replica")
-    if table is None:
-        table = coefficients(e, n, keep_prefix=True)
-    parts = sample_small_many(e, n, replicas, seed, mode="exact", table=table)
+    parts = sample_small_many(e, n, replicas, seed, mode="exact")
     vals = np.array([large_part_mass(p) for p in parts])
     qs = {f"q{int(100 * q):02d}": float(np.quantile(vals, q))
           for q in (0.25, 0.50, 0.75, 0.90)}

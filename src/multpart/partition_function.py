@@ -49,7 +49,7 @@ TABLE_TAIL_TOL = 1e-6
 _RESCALE = 1e250
 _EPS = float(np.finfo(np.float64).eps)
 # factor coefficients below this relative size are dropped from the
-# tilted prefix convolutions (and, consistently, from the exact sampler)
+# tilted prefix convolutions
 FACTOR_WEIGHT_CUT = 1e-20
 
 
@@ -170,7 +170,6 @@ class CoefficientTable:
     exact: bool
     x0: float = 1.0
     prefix: list[np.ndarray] | None = None
-    _factor_w: dict = field(default_factory=dict, repr=False)
     _tail_bounds: dict = field(default_factory=dict, repr=False)
 
     def coefficient(self, n: int):
@@ -190,25 +189,6 @@ class CoefficientTable:
         if a <= 0.0:
             return -math.inf
         return float(np.log(a))
-
-    @property
-    def active_sizes(self) -> list[int]:
-        """Part sizes with a factor row (b_k != 0), ascending; empty
-        without keep_prefix."""
-        return list(self._factor_w)
-
-    def factor_weights(self, k: int) -> np.ndarray:
-        """Tilted coefficient row of the part-size-k factor (active sizes only).
-
-        Available when the table was built with keep_prefix; the sampler
-        conditionals must use these same arrays the rows were built from.
-        """
-        try:
-            return self._factor_w[k]
-        except KeyError:
-            raise TableError(
-                f"no factor row for k={k}: build the table with keep_prefix "
-                "and query only sizes with b_k != 0") from None
 
 
 def _scan_unit(a: np.ndarray, k: int) -> None:
@@ -377,8 +357,7 @@ def _factor_weights_float(e: Ensemble, k: int, n_max: int, x0: float) -> np.ndar
     """Tilted factor coefficients wtilde_j = [z^j] f(z)^{b_k} * x0^{k j}.
 
     Trailing entries below FACTOR_WEIGHT_CUT of the running maximum are
-    dropped; the exact sampler uses these same arrays, so the prefix rows
-    and the sampled conditionals stay consistent.
+    dropped.
     """
     j_max = n_max // k
     b = e.weights.value(k)
@@ -408,14 +387,12 @@ def _default_tilt(e: Ensemble, n_max: int) -> float:
 def _build_prefix(e: Ensemble, n_max: int, x0: float):
     rows: list[np.ndarray] = [np.zeros(n_max + 1)]
     rows[0][0] = 1.0
-    factor_w: dict[int, np.ndarray] = {}
     cur = rows[0]
     for k in range(1, n_max + 1):
         if e.weights.value(k) == 0.0:
             rows.append(cur)
             continue
         w = _factor_weights_float(e, k, n_max, x0)
-        factor_w[k] = w
         nxt = cur.copy()
         for j in range(1, len(w)):
             off = k * j
@@ -427,7 +404,7 @@ def _build_prefix(e: Ensemble, n_max: int, x0: float):
     if not np.isfinite(cur).all() or cur[n_max] == 0.0 and e.weights.b_1 > 0:
         raise TableError(
             f"prefix rows degenerate at tilt x0={x0}; pass a better x0")
-    return rows, factor_w
+    return rows
 
 
 def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
@@ -439,9 +416,9 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
     of exponential-series ensembles come from the integer Euler-transform
     recurrence; every other table is built factor by factor.
 
-    keep_prefix retains the tilted per-prefix rows for the exact sampler
-    (memory grows quadratically: capped at n_max = 5000). x0 overrides the
-    tilt, which otherwise solves mean = n_max.
+    keep_prefix also retains the tilted per-prefix rows (memory grows
+    quadratically: capped at n_max = 5000). x0 overrides the tilt, which
+    otherwise solves mean = n_max.
     """
     if n_max < 0:
         raise ParamError("n_max must be >= 0")
@@ -458,7 +435,6 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
         raise TableError("nonpositive coefficient in an ensemble with b_1 > 0")
 
     prefix = None
-    factor_w: dict = {}
     tilt = 1.0
     if keep_prefix:
         if n_max > PREFIX_CAP:
@@ -467,10 +443,10 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
         tilt = float(x0) if x0 is not None else _default_tilt(e, n_max)
         if not (0.0 < tilt < e.rho):
             raise ParamError(f"tilt x0={tilt} outside (0, {e.rho})")
-        prefix, factor_w = _build_prefix(e, n_max, tilt)
+        prefix = _build_prefix(e, n_max, tilt)
 
     return CoefficientTable(n_max=n_max, values=values, exact=exact,
-                            x0=tilt, prefix=prefix, _factor_w=factor_w)
+                            x0=tilt, prefix=prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +480,19 @@ def _table_tail_bound(e: Ensemble, table: CoefficientTable, x: float) -> float:
     return cached
 
 
-def _log_derivative_weights(e: Ensemble, x: float, m_max: int):
+def _log_derivative_weights(e: Ensemble, x: float, m_max: int,
+                            nu: np.ndarray | None = None):
     """(c, positive) with c_i = x^i sum_{k|i} k b_k mu_{i/k}, i <= m_max.
 
-    mu_j = j [z^j] log f, taken tilted (nu_j = mu_j x^j) so that
+    mu_j = j [z^j] log f, taken tilted (nu_j = mu_j x^j, from
+    series.log_coefficients(m_max, x) unless passed in) so that
     k b_k nu_j x^{(k-1) j} stays in range. Pairs (k, j) with k j <= m_max
     are visited as one vector per small k and one per small j. When some
     nu_j is negative, positive is False if a c_i is negative beyond its
     rounding error; c then cannot drive a positive recurrence.
     """
-    nu = e.series.log_coefficients(m_max, x)
+    if nu is None:
+        nu = e.series.log_coefficients(m_max, x)
     ks = np.arange(1, m_max + 1)
     kb = ks * e.weights.values(ks)
     signed = bool((nu < 0.0).any())
@@ -548,16 +527,42 @@ def _mass_from_table(table: CoefficientTable, x: float, m: int,
     return math.exp(log_a + m * math.log(x) - log_F)
 
 
+def _mass_recurrence(c: np.ndarray, m_max: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(v, shift), p_m ~ v_m exp(shift_m) for m <= m_max, shift nondecreasing.
+
+    Runs m p_m = sum_{i<=m} c_i p_{m-i} (one dot per m, c_i >= 0, forward
+    stable) from v_0 = 1, dividing the run by _RESCALE whenever a value
+    passes it. v_m keeps its own step's value: nothing overflows, and no
+    mass underflows however far p_0 and p_m lie apart.
+    """
+    nz = np.nonzero(c)[0]
+    top = int(nz[-1]) if nz.size else 0
+    # rev[t] = c_{top-t}, so each step is one contiguous dot
+    rev = c[top:0:-1].copy()
+    r = np.zeros(m_max + 1)
+    r[0] = 1.0
+    v, shift = r.copy(), np.zeros(m_max + 1)
+    start = 0  # v holds the values of steps before start
+    for m in range(1, m_max + 1):
+        lo = m - top if m > top else 0
+        val = r[m] = float(np.dot(r[lo:m], rev[top - m + lo:])) / m
+        if val > _RESCALE:
+            v[start:m + 1] = r[start:m + 1]
+            start = m + 1
+            r[:m + 1] /= _RESCALE
+            shift[start:] += math.log(_RESCALE)
+    v[start:] = r[start:]
+    return v, shift
+
+
 def _tilted_masses(e: Ensemble, x: float, m_max: int) -> np.ndarray:
     """p_m = a_m x^m / F(x) for m = 0..m_max, without a coefficient table.
 
-    Runs m p_m = sum_{i<=m} c_i p_{m-i} (one dot per m) from p_0 = 1/F(x).
-    Every term is positive, so the recurrence is forward stable. The run
-    keeps r_m = p_m exp(-shift), r_0 = 1, and divides r by _RESCALE
-    (raising the shift) whenever r_m passes it, so nothing overflows or
-    underflows when log F(x) > 745. Where a c_i is negative (a series
-    whose logarithm has negative coefficients, e.g. 1 + z + z^2 on parts
-    not divisible by 3), the masses come from coefficients(e, m_max)
+    Runs the recurrence of _mass_recurrence from p_0 = 1/F(x); masses
+    below the float range come out as zero. Where a c_i is negative (a
+    series whose logarithm has negative coefficients, e.g. 1 + z + z^2 on
+    parts not divisible by 3), the masses come from coefficients(e, m_max)
     instead, which raises the typed error when a factor is not an
     admissible count law.
     """
@@ -567,22 +572,9 @@ def _tilted_masses(e: Ensemble, x: float, m_max: int) -> np.ndarray:
         table = coefficients(e, m_max)
         return np.array([_mass_from_table(table, x, m, log_F)
                          for m in range(m_max + 1)])
-    nz = np.nonzero(c)[0]
-    top = int(nz[-1]) if nz.size else 0
-    # rev[t] = c_{top-t}, so each step is one contiguous dot
-    rev = c[top:0:-1].copy()
-    r = np.zeros(m_max + 1)
-    r[0] = 1.0
-    shift = -log_F
-    for m in range(1, m_max + 1):
-        lo = m - top if m > top else 0
-        v = float(np.dot(r[lo:m], rev[top - m + lo:])) / m
-        r[m] = v
-        if v > _RESCALE:
-            r[:m + 1] /= _RESCALE
-            shift += math.log(_RESCALE)
-    half = math.exp(0.5 * shift)
-    return r * half * half
+    v, shift = _mass_recurrence(c, m_max)
+    half = np.exp(0.5 * (shift - log_F))
+    return v * half * half
 
 
 def point_mass(e: Ensemble, x: float, m: int, table: CoefficientTable | None = None,

@@ -11,26 +11,17 @@ on total size n is done three ways:
 - probabilistic divide-and-conquer ("pdc"): draw the counts of sizes
   k >= 2 at x_n, set R_1 = n - W from their weight W, and keep the draw
   with probability P(R_1 = n - W) / max_j P(R_1 = j);
-- an exact conditional walk down the retained prefix rows of a
-  coefficient table.
+- the recursive method ("exact"): remove components of j parts of size k
+  by m p_m = sum_i c_i p_{m-i} until m = 0; needs nu_j = j [z^j] log f >= 0.
 
-A pdc attempt draws only the counts that are nonzero, about sqrt(n) of
-the k* sizes. It is a Poisson process over the sizes, with rate_k at
-size k, so L = sum_k rate_k points per attempt on average. A batch of
-attempts puts Poisson(rows * rate_k) points at each size k and each
-point in a uniformly chosen attempt. For an exponential series the rate
-is the Poisson mean and R_k is the number of points at k. For a
-geometric series R_k is negative binomial, which is compound Poisson:
-clusters fall at rate -b_k log(1 - q_k) and each has a logarithmic size,
-P(s) = q_k^s / (s (-log(1 - q_k))). For any other series a size is hit
-at rate -log P(R_k = 0), so it is hit exactly when R_k >= 1, and a hit
-size draws R_k from its law given R_k >= 1. Rejection and grand draws
-keep one dense row of all k* counts.
+A pdc attempt draws only its nonzero counts, as a Poisson process over
+the sizes (CountLaw.draw_sparse; sample_small_pdc gives the rates by
+series kind). Rejection and grand draws keep one dense row of all k*
+counts.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,7 +37,8 @@ from .errors import (
     TableError,
     TailError,
 )
-from .partition_function import CoefficientTable, product_tail_cutoff
+from .partition_function import (_log_derivative_weights, _mass_recurrence,
+                                 product_tail_cutoff)
 from .series import ExponentialSeries, GeometricSeries, power_coefficients
 
 __all__ = [
@@ -603,74 +595,94 @@ def sample_small_pdc(e: Ensemble, n: int, rng: RngStream,
     return _sample_fixed(e, n, rng, budget, "pdc")
 
 
-def sample_small_exact(e: Ensemble, n: int, rng: RngStream,
-                       table: CoefficientTable) -> Partition:
-    """Exact fixed-size draw by walking the prefix rows top-down.
+class _RecursivePlan:
+    """The recursive method's tables for weight n, built once at x = x_n:
+    p_m ~ v_m exp(shift_m) (_mass_recurrence), c_i, kb_k = k b_k, nu_j."""
 
-    At part size k with residual m, R_k = j has conditional mass
-    proportional to wtilde_k(j) * W_{k-1}(m - k j); the tilt in the rows
-    cancels in the ratio, so the walk reproduces the conditioned measure
-    and never dead-ends.
+    def __init__(self, e: Ensemble, n: int):
+        from .asymptotics import solve_tilt
+
+        if n < 0:
+            raise ParamError("n must be >= 0")
+        self.n = n
+        if n == 0:
+            return  # the empty partition is drawn without tables
+        self.x = solve_tilt(e, n).x_n
+        self.nu = e.series.log_coefficients(n, self.x)
+        if (self.nu < 0.0).any():
+            raise ParamError(
+                "mode 'exact' splits components by the coefficients of log f, "
+                "and this series has negative ones; use mode 'pdc' "
+                "(small-pdc on the command line)")
+        self.c, _ = _log_derivative_weights(e, self.x, n, self.nu)
+        self.v, self.shift = _mass_recurrence(self.c, n)
+        if not self.v[n] > 0.0:
+            raise EmptySupportError(
+                f"no partition of {n} has positive mass in this ensemble",
+                attempts=0, budget=0, acceptance_estimate=0.0)
+        self.ks = np.arange(1, n + 1)
+        self.kb = self.ks * e.weights.values(self.ks)
+
+    @staticmethod
+    def _pick(gen: np.random.Generator, w: np.ndarray) -> int:
+        """Index t with probability w_t / sum(w): u sum(w) < sum(w), u < 1."""
+        cum = np.cumsum(w)
+        t = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
+        if t == cum.size:
+            raise TableError("recursive method: every weight vanished")
+        return t
+
+    def draw(self, rng: RngStream) -> Partition:
+        gen = rng.generator()
+        counts: dict[int, int] = {}
+        m = self.n
+        while m:
+            # size i with probability c_i p_{m-i} / (m p_m); the masses
+            # below lo, at a lower shift, are brought to that of m
+            w = self.c[1:m + 1] * self.v[m - 1::-1]
+            lo = int(np.searchsorted(self.shift, self.shift[m]))
+            if lo:
+                w[m - lo:] *= np.exp(self.shift[lo - 1::-1] - self.shift[m])
+            i = self._pick(gen, w) + 1
+            ks = self.ks[:i][i % self.ks[:i] == 0]
+            js = i // ks
+            t = self._pick(gen, self.kb[ks - 1] * self.nu[js] * np.power(
+                self.x, ((ks - 1) * js).astype(np.float64)))
+            counts[int(ks[t])] = counts.get(int(ks[t]), 0) + int(js[t])
+            m -= i
+        return Partition(dict(sorted(counts.items())), self.n)
+
+
+def sample_small_exact(e: Ensemble, n: int, rng: RngStream) -> Partition:
+    """Exact fixed-size draw by the recursive method (Nijenhuis and Wilf,
+    Combinatorial Algorithms, 1978, ch. 10).
+
+    log F = sum_{k,j} b_k mu_j x^{kj} / j, mu_j = j [z^j] log f, so a
+    partition is a multiset of components (k, j), j parts of size k, and
+    m p_m = sum_i c_i p_{m-i}. From m = n, a size i is drawn with
+    probability c_i p_{m-i} / (m p_m) and split as i = k j with probability
+    proportional to k b_k nu_j x^{(k-1)j}, nu_j = mu_j x^j; m drops by i
+    until it is 0. The split needs every nu_j >= 0 (geometric and
+    exponential series and their powers: every catalog ensemble), else
+    ParamError points to mode 'pdc'. O(n) memory, O(m) a step.
     """
-    if table.prefix is None:
-        raise TableError("exact sampling needs a table built with keep_prefix")
-    if n < 0:
-        raise ParamError("n must be >= 0")
-    if n > table.n_max:
-        raise ParamError(f"n={n} beyond table range 0..{table.n_max}")
-    if n == 0:
-        return Partition({}, 0)
-    if table.prefix[n][n] <= 0.0:
-        raise EmptySupportError(
-            f"no partition of {n} has positive mass in this ensemble",
-            attempts=0, budget=0, acceptance_estimate=0.0)
-    gen = rng.generator()
-    counts: dict[int, int] = {}
-    m = n
-    # sizes with b_k != 0, ascending; the walk visits each one <= m
-    sizes = table.active_sizes
-    i = bisect.bisect_right(sizes, m) - 1
-    while m and i >= 0:
-        k = sizes[i]
-        prev = table.prefix[k - 1]
-        w = table.factor_weights(k)
-        j_hi = min(m // k, len(w) - 1)
-        masses = w[:j_hi + 1] * prev[m - np.arange(j_hi + 1) * k]
-        total = float(masses.sum())
-        if not total > 0.0:
-            raise TableError("prefix rows inconsistent: conditional vanished")
-        j = int(np.searchsorted(np.cumsum(masses), gen.random() * total,
-                                side="right"))
-        j = min(j, j_hi)
-        if j:
-            counts[k] = j
-            m -= k * j
-        i = min(i - 1, bisect.bisect_right(sizes, m) - 1)
-    if m != 0:
-        raise TableError("prefix rows inconsistent: residual not exhausted")
-    part = Partition(counts, n)
-    assert sum(k * r for k, r in counts.items()) == n
-    return part
+    return _RecursivePlan(e, n).draw(rng)
 
 
 def sample_small_many(e: Ensemble, n: int, n_samples: int, seed: int,
                       mode: str = "rejection", base_stream: int = 0,
-                      budget: int | None = None,
-                      table: CoefficientTable | None = None) -> list[Partition]:
+                      budget: int | None = None) -> list[Partition]:
     """n_samples fixed-size draws, replica i on stream base_stream + i.
 
-    mode "rejection", "pdc" or "exact"; exact builds (or reuses) a prefix
-    table once. The stream layout makes every replica reproducible on its
+    mode "rejection", "pdc" or "exact"; exact builds its plan once for all
+    replicas. The stream layout makes every replica reproducible on its
     own.
     """
     if n_samples < 0:
         raise ParamError("n_samples must be >= 0")
     if mode == "exact":
-        if table is None:
-            from .partition_function import coefficients
-
-            table = coefficients(e, n, keep_prefix=True)
-        return [sample_small_exact(e, n, RngStream(seed, base_stream + i), table)
+        plan = _RecursivePlan(e, n)
+        return [plan.draw(RngStream(seed, base_stream + i))
                 for i in range(n_samples)]
     draw = {"rejection": sample_small_rejection,
             "pdc": sample_small_pdc}.get(mode)

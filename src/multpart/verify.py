@@ -135,7 +135,7 @@ _TILT_ENTRIES = (
 
 def criterion_tilt(seed: int | None = None) -> CriterionResult:
     t0 = time.perf_counter()
-    worst_res, worst_ratio_off, worst_solve = 0.0, 0.0, 0.0
+    worst_res = 0.0
     lines = []
     ok = True
     for name, params in _TILT_ENTRIES:
@@ -145,17 +145,16 @@ def criterion_tilt(seed: int | None = None) -> CriterionResult:
             t1 = time.perf_counter()
             sol = solve_tilt(e, n)
             dt = time.perf_counter() - t1
-            worst_solve = max(worst_solve, dt)
             rel = abs(sol.residual) / n
             worst_res = max(worst_res, rel)
             ok &= rel <= 1e-10 and dt < 1.0
             if n == 1_000_000:
                 ratio = sol.tau_n * (n / (om * th)) ** (1 / (be + 1))
                 ok &= 0.95 <= ratio <= 1.05
-                worst_ratio_off = max(worst_ratio_off, abs(ratio - 1.0))
                 lines.append(f"{e.label} ratio {ratio:.4f}")
-    detail = (f"max |residual|/n {worst_res:.1e}, max solve {worst_solve*1e3:.0f}ms, "
-              + "; ".join(lines))
+    # the solve times stay out of the detail line, so that a rerun prints
+    # the same line; the result's seconds field records the time
+    detail = f"max |residual|/n {worst_res:.1e}, " + "; ".join(lines)
     return _result(4, "tilt solver", ok, detail, t0)
 
 

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive: enumeration, term-by-term series
 arithmetic, and O(n^2) convolutions, written without touching the package
-internals so a bug cannot hide in shared code. The one exception is
-dense_pdc_draw: it runs the sampler's own count laws through the dense
-divide-and-conquer attempt, which draws every count, so that the sparse
-attempt can be checked against it.
+internals so a bug cannot hide in shared code. Two exceptions replay a
+sampler's former method on the package's own data, so that the method
+that replaced it can be checked against it: dense_pdc_draw runs the
+sampler's count laws through the dense divide-and-conquer attempt, which
+draws every count, and prefix_walk_draw walks the tilted prefix rows of a
+coefficient table.
 """
 
 from __future__ import annotations
@@ -237,3 +239,36 @@ def dense_pdc_draw(table, n: int, gen, budget: int = 10 ** 6,
             row = np.concatenate(([r_1[hits[0]]], counts[hits[0]]))
             return {int(k): int(r) for k, r in zip(ks, row) if r}
     raise RuntimeError(f"no draw of size {n} in {budget} attempts")
+
+
+def prefix_walk_draw(e, table, n: int, gen) -> dict:
+    """One exact draw of weight n by walking a table's tilted prefix rows.
+
+    table comes from coefficients(e, n_max, keep_prefix=True), n <= n_max.
+    Down the part sizes k with b_k != 0, R_k = j has conditional mass
+    proportional to wtilde_k(j) * T_{k-1}(m - k j), wtilde_k being the
+    tilted factor row the prefix rows were built from and m the weight
+    left; the tilt cancels in the ratio. Returns {k: R_k} over the
+    nonzero counts.
+    """
+    from multpart.partition_function import _factor_weights_float
+
+    counts = {}
+    m = n
+    for k in range(n, 0, -1):
+        if m == 0:
+            break
+        if k > m or e.weights.value(k) == 0.0:
+            continue
+        w = _factor_weights_float(e, k, table.n_max, table.x0)
+        j_hi = min(m // k, len(w) - 1)
+        masses = w[:j_hi + 1] * table.prefix[k - 1][m - np.arange(j_hi + 1) * k]
+        j = int(np.searchsorted(np.cumsum(masses), gen.random() * masses.sum(),
+                                side="right"))
+        j = min(j, j_hi)
+        if j:
+            counts[k] = j
+            m -= k * j
+    if m:
+        raise RuntimeError("prefix rows inconsistent: residual not exhausted")
+    return counts

@@ -54,6 +54,11 @@ def test_criterion_04_tilt_solver():
     assert res.number == 4
 
 
+def test_criterion_04_detail_is_reproducible():
+    # a rerun on the same code prints the same line: no wall-clock figures
+    assert verify.criterion_tilt().detail == verify.criterion_tilt().detail
+
+
 def test_criterion_05_grand_sampler_moments():
     res = _check(verify.criterion_sampler_moments())
     assert res.number == 5

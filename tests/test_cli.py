@@ -122,6 +122,27 @@ def test_sample_gibbs_small_exact_beyond_float_factorials():
     assert sum(k * r for k, r in rec["counts"]) == 171
 
 
+def test_sample_small_exact_beyond_prefix_cap():
+    # the exact sampler keeps O(n) memory; prefix rows stopped at n = 5000
+    res = run_cli("sample", "--ensemble", "uniform", "--mode", "small-exact",
+                  "--n", "20000", "--seed", "4")
+    assert res.exit_code == 0, res.output
+    rec = json.loads(res.output)
+    assert rec["n"] == 20000
+    assert sum(k * r for k, r in rec["counts"]) == 20000
+
+
+def test_sample_small_exact_strict_series_exits_1(tmp_path):
+    # log(1 + z) has negative coefficients: the exact split has no law
+    path = tmp_path / "strict.yaml"
+    path.write_text("f:\n  kind: custom\n  coefficients: [1, 1]\n"
+                    "weights:\n  rule: constant\n")
+    res = run_cli("sample", "--ensemble", str(path), "--mode", "small-exact",
+                  "--n", "30")
+    assert res.exit_code == 1
+    assert "small-pdc" in res.stderr
+
+
 def test_sample_small_pdc_records():
     args = ("sample", "--ensemble", "uniform", "--mode", "small-pdc",
             "--n", "40000", "--count", "2", "--seed", "3")

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from multpart import (
@@ -26,7 +27,8 @@ from multpart import (
     product_tail_cutoff,
     solve_tilt,
 )
-from multpart.partition_function import _log_derivative_weights, _tilted_masses
+from multpart.partition_function import (_factor_weights_float,
+                                        _log_derivative_weights, _tilted_masses)
 
 from oracles import (exp_factor, geometric_factor, log_partition_loop,
                      partition_count, partition_product, product_coefficients,
@@ -158,16 +160,19 @@ def test_keep_prefix_rows_and_factor_weights():
     assert table.prefix is not None
     assert len(table.prefix) == 41
     assert 0.0 < table.x0 < 1.0
-    w1 = table.factor_weights(1)
+    w1 = _factor_weights_float(u, 1, 40, table.x0)
     assert w1[0] == 1.0 and w1[1] > 0.0
+    # the last row is the whole product: a_m x0^m
+    want = np.array([float(a) for a in table.values]) * table.x0 ** np.arange(41)
+    assert np.allclose(table.prefix[-1], want, rtol=1e-12, atol=0.0)
 
 
 def test_factor_weights_missing_row():
-    evens = make("restricted", parts="evens")
-    table = coefficients(evens, 20, keep_prefix=True, x0=0.5)
-    with pytest.raises(TableError):
-        table.factor_weights(1)  # b_1 = 0: no row was built
-    assert table.factor_weights(2) is not None
+    # b_1 = 0: no factor row is built for size one, so row 1 is row 0
+    evens = coefficients(make("restricted", parts="evens"), 20,
+                         keep_prefix=True, x0=0.5)
+    assert evens.prefix[1] is evens.prefix[0]
+    assert evens.prefix[2] is not evens.prefix[1]
 
 
 def test_keep_prefix_cap():

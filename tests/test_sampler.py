@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from multpart import (
     BudgetExhausted,
@@ -16,7 +16,6 @@ from multpart import (
     ParamError,
     Partition,
     RngStream,
-    TableError,
     coefficients,
     constant_weights,
     default_budget,
@@ -32,7 +31,7 @@ from multpart import (
     solve_tilt,
 )
 
-from oracles import dense_pdc_draw, partitions_into
+from oracles import dense_pdc_draw, partitions_into, prefix_walk_draw
 
 
 # ---------------------------------------------------------------------------
@@ -457,27 +456,90 @@ def test_pdc_needs_parts_of_size_one():
 
 def test_exact_sampler_weight_exactness():
     w2 = make("weighted", y=2)
-    table = coefficients(w2, 2000, keep_prefix=True)
     for i in range(3):
-        p = sample_small_exact(w2, 2000, RngStream(112, i), table)
+        p = sample_small_exact(w2, 2000, RngStream(112, i))
         assert p.weight == 2000
         assert sum(k * r for k, r in p.counts.items()) == 2000
 
 
 def test_exact_sampler_support_obstruction():
     evens = make("restricted", parts="evens")
-    table = coefficients(evens, 8, keep_prefix=True, x0=0.5)
     with pytest.raises(EmptySupportError) as err:
-        sample_small_exact(evens, 7, RngStream(1), table)
+        sample_small_exact(evens, 7, RngStream(1))
     assert err.value.attempts == 0
     assert err.value.budget == 0
     # n = 6 has exactly three even partitions
-    seen = {frozenset(sample_small_exact(evens, 6, RngStream(113, i),
-                                         table).counts.items())
-            for i in range(60)}
+    seen = {frozenset(p.counts.items())
+            for p in sample_small_many(evens, 6, 60, seed=113, mode="exact")}
     want = {frozenset({6: 1}.items()), frozenset({4: 1, 2: 1}.items()),
             frozenset({2: 3}.items())}
     assert seen == want
+
+
+EXACT_LAWS = [
+    ("uniform", {}, 7, lambda k, r: 1.0),
+    ("weighted", {"y": 2}, 6, lambda k, r: 2.0 ** r),
+    ("gibbs", {"theta": 1, "beta": 1}, 6, _gibbs_weight),
+    ("restricted", {"parts": "odds"}, 9, lambda k, r: float(k % 2 or r == 0)),
+]
+
+
+@pytest.mark.parametrize("name,params,n,part_weight", EXACT_LAWS,
+                         ids=[c[0] for c in EXACT_LAWS])
+def test_exact_law_matches_enumeration(name, params, n, part_weight):
+    law = {p: w for p, w in _law_table(n, part_weight).items() if w > 0}
+    m = 20_000
+    draws = sample_small_many(make(name, **params), n, m, seed=130 + n,
+                              mode="exact")
+    counts = _empirical(draws)
+    assert set(counts) <= set(law)
+    obs = [counts.get(p, 0) for p in law]
+    assert stats.chisquare(obs, [m * w for w in law.values()]).pvalue > 0.01
+
+
+@pytest.mark.parametrize("name", ["uniform", "weighted", "gibbs"])
+def test_exact_matches_prefix_walk(name):
+    # the recursive method against the prefix-row walk it replaced
+    e, n, m = _golden_ensemble(name), 8, 3000
+    table = coefficients(e, n, keep_prefix=True)
+    gen = RngStream(140).generator()
+    a = [Partition.make(prefix_walk_draw(e, table, n, gen)) for _ in range(m)]
+    b = sample_small_many(e, n, m, seed=141, mode="exact")
+    support = sorted({*a, *b}, key=lambda p: sorted(p.counts.items()))
+    ca, cb = _empirical(a), _empirical(b)
+    table = np.array([[ca.get(p, 0) for p in support],
+                      [cb.get(p, 0) for p in support]])
+    assert stats.chi2_contingency(table).pvalue > 0.01
+
+
+def test_exact_needs_nonnegative_log_coefficients():
+    # log(1 + z) = z - z^2/2 + ...: the split of a component has no law
+    strict = _golden_ensemble("strict")
+    with pytest.raises(ParamError, match="small-pdc"):
+        sample_small_exact(strict, 10, RngStream(1))
+    with pytest.raises(ParamError, match="small-pdc"):
+        sample_small_many(strict, 10, 2, seed=1, mode="exact")
+
+
+def test_exact_draws_when_mass_at_zero_underflows():
+    # gibbs(theta, 1) at theta = 5000, n = 1000 has log F(x_n) > 800, so
+    # p_0 = 1/F(x_n) is below the float range. The number of parts K has
+    # P(K = k) proportional to C(n-1, k-1) theta^k / k!
+    theta, n, m = 5000, 1000, 100
+    e = make("gibbs", theta=theta, beta=1)
+    x = solve_tilt(e, n).x_n
+    assert theta * x / (1.0 - x) > 800.0
+    ks = np.arange(1, n + 1)
+    logw = (special.gammaln(n) - special.gammaln(ks) - special.gammaln(n - ks + 1)
+            + ks * math.log(theta) - special.gammaln(ks + 1))
+    law = np.exp(logw - logw.max())
+    law /= law.sum()
+    mean = float((ks * law).sum())
+    sd = math.sqrt(float((ks * ks * law).sum()) - mean * mean)
+    draws = sample_small_many(e, n, m, seed=142, mode="exact")
+    assert all(p.weight == n for p in draws)
+    got = np.mean([p.num_parts for p in draws])
+    assert abs(got - mean) <= 4.0 * sd / math.sqrt(m)
 
 
 def test_rejection_budget_exhaustion():
@@ -495,52 +557,50 @@ def test_small_sampler_validation():
         sample_small_rejection(u, 0, RngStream(1))
     with pytest.raises(ParamError):
         sample_small_rejection(u, 5, RngStream(1), budget=0)
-    plain = coefficients(u, 10)
-    with pytest.raises(TableError):
-        sample_small_exact(u, 5, RngStream(1), plain)
-    pref = coefficients(u, 10, keep_prefix=True)
     with pytest.raises(ParamError):
-        sample_small_exact(u, 11, RngStream(1), pref)
-    assert sample_small_exact(u, 0, RngStream(1), pref).weight == 0
+        sample_small_exact(u, -1, RngStream(1))
+    assert sample_small_exact(u, 0, RngStream(1)).weight == 0
     with pytest.raises(ParamError):
         sample_small_many(u, 5, 3, seed=1, mode="bogus")
     assert sample_small_many(u, 5, 0, seed=1) == []
 
 
 def test_small_many_reuses_table():
-    u = make("uniform")
-    table = coefficients(u, 12, keep_prefix=True)
-    a = sample_small_many(u, 12, 10, seed=114, mode="exact", table=table)
-    b = sample_small_many(u, 12, 10, seed=114, mode="exact")
-    assert a == b
+    # sample_small_many builds the recursive method's tables once for all
+    # replicas; replica i is still the single draw on stream i
+    for name, n in [("uniform", 12), ("weighted", 300), ("gibbs", 50)]:
+        e = _golden_ensemble(name)
+        many = sample_small_many(e, n, 6, seed=114, mode="exact")
+        for i in (0, 5):
+            assert sample_small_exact(e, n, RngStream(114, i)) == many[i]
 
 
-# draws recorded before the walk iterated the table's active sizes; the
-# same seeds must keep giving the same partitions
-EXACT_WALK_GOLDEN = [
+# draws recorded when the recursive method replaced the prefix-row walk,
+# after the enumeration and walk-contingency tests above passed; the
+# walk's draws (seed 2024) differ, for the same law
+EXACT_GOLDEN = [
     ("uniform", {}, 60, [
-        {1: 17, 2: 1, 3: 2, 4: 1, 5: 1, 6: 2, 7: 2},
-        {1: 14, 2: 6, 3: 1, 4: 3, 6: 2, 7: 1},
-        {1: 11, 3: 3, 4: 2, 9: 1, 11: 1, 12: 1}]),
+        {2: 3, 3: 2, 4: 1, 5: 1, 6: 3, 8: 1, 13: 1},
+        {1: 21, 4: 4, 5: 2, 13: 1},
+        {1: 1, 4: 7, 5: 1, 8: 2, 10: 1}]),
     ("weighted", {"y": 2}, 200, [
-        {1: 193, 2: 1, 5: 1}, {1: 190, 2: 3, 4: 1}, {1: 196, 4: 1}]),
+        {1: 189, 3: 2, 5: 1}, {1: 200}, {1: 189, 2: 4, 3: 1}]),
     ("restricted", {"parts": "odds"}, 45, [
-        {1: 7, 3: 1, 9: 1, 11: 1, 15: 1},
-        {1: 9, 3: 5, 5: 1, 7: 1, 9: 1},
-        {1: 8, 5: 1, 7: 3, 11: 1}]),
+        {1: 9, 3: 2, 5: 3, 15: 1},
+        {1: 20, 5: 5},
+        {3: 3, 5: 2, 13: 2}]),
     ("gibbs", {"theta": 1, "beta": 1}, 40, [
-        {1: 1, 2: 1, 3: 2, 5: 1, 12: 1, 14: 1},
-        {1: 1, 2: 1, 3: 1, 4: 3, 5: 1, 7: 1, 10: 1},
-        {1: 1, 2: 2, 4: 1, 9: 1, 11: 2}]),
+        {2: 2, 4: 2, 5: 3, 13: 1},
+        {1: 1, 3: 1, 4: 2, 6: 1, 9: 1, 13: 1},
+        {3: 1, 4: 1, 5: 1, 6: 1, 22: 1}]),
 ]
 
 
-@pytest.mark.parametrize("name,params,n,want", EXACT_WALK_GOLDEN,
-                         ids=[c[0] for c in EXACT_WALK_GOLDEN])
-def test_exact_walk_golden_draws(name, params, n, want):
+@pytest.mark.parametrize("name,params,n,want", EXACT_GOLDEN,
+                         ids=[c[0] for c in EXACT_GOLDEN])
+def test_exact_golden_draws(name, params, n, want):
     e = make(name, **params)
-    table = coefficients(e, n, keep_prefix=True)
-    got = [sample_small_exact(e, n, RngStream(2024, i), table).counts
+    got = [sample_small_exact(e, n, RngStream(2024, i)).counts
            for i in range(len(want))]
     assert got == want
 
