@@ -30,7 +30,7 @@ from .errors import (BudgetExhausted, ConfigError, ConvergenceError,
                      DomainError, EmptySupportError, FitUnstable,
                      MultpartError, NegativeCoefficientError, ParamError,
                      QuadratureError, RegimeError, TableError, TailError,
-                     TruncationError, UnknownNameError)
+                     UnknownNameError)
 from .partition_function import (CoefficientTable, coefficients,
                                  local_limit_probe, log_partition_value,
                                  partition_numbers, point_mass,
@@ -55,7 +55,7 @@ __all__ = [
     "PartSet", "Partition", "PowerSeriesFunction", "QuadratureError",
     "Regime", "RegimeError", "RngStream", "SeriesFunction", "ShapeCurve",
     "Singularity", "TableError", "TailError", "TiltSolution",
-    "TruncationError", "UnknownNameError", "VarianceRatioResult",
+    "UnknownNameError", "VarianceRatioResult",
     "WeightSequence", "check_condition_10", "check_condition_11",
     "classify_regime", "coefficients", "concentration_experiment",
     "constant_weights", "default_budget", "degenerate_shape_probe",

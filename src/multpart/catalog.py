@@ -73,25 +73,26 @@ def _build_restricted(parts=None, **params) -> Ensemble:
                     label=f"restricted({ps.label})")
 
 
+def _gibbs(theta, beta, label: str) -> Ensemble:
+    # per-part mass c_k = theta * k^beta spread over k slots: b_k =
+    # theta * k^(beta-1), then traded to b_1 = 1 (f becomes f^theta)
+    e = Ensemble(ExponentialSeries(1),
+                 monomial_weights(theta, beta - 1)).normalized()
+    return Ensemble(e.series, e.weights, label=label)
+
+
 def _build_gibbs(theta=1, beta=1, **params) -> Ensemble:
     _no_extra("gibbs", params)
     if not (theta > 0):
         raise ParamError(f"gibbs needs theta > 0, got {theta}")
     if not (beta > 0):
         raise ParamError(f"gibbs needs beta > 0, got {beta}")
-    # per-part mass c_k = theta * k^beta spread over k slots: b_k =
-    # theta * k^(beta-1), then traded to b_1 = 1 (f becomes f^theta)
-    e = Ensemble(ExponentialSeries(1), monomial_weights(theta, beta - 1))
-    e = e.normalized()
-    e.label = f"gibbs(theta={theta}, beta={beta})"
-    return e
+    return _gibbs(theta, beta, f"gibbs(theta={theta}, beta={beta})")
 
 
 def _build_ordered_lists(**params) -> Ensemble:
     _no_extra("ordered_lists", params)
-    e = _build_gibbs(theta=1, beta=1)
-    e.label = "ordered_lists"
-    return e
+    return _gibbs(1, 1, "ordered_lists")
 
 
 def _build_ewens(theta=1, **params) -> Ensemble:

@@ -9,7 +9,7 @@ or a fully explicit description:
 
     f:        {kind: geometric, weight: 1.0}
     weights:  {rule: power_law, theta: 1.0, beta: 2.0}
-    declared: {beta: 2.0, theta: 1.0, zeta: 1.0, chi: 0.51}
+    declared: {beta: 2.0, theta: 1.0}
     label:    my-ensemble
     normalize: false
 
@@ -137,8 +137,6 @@ def _build_weights(sec: dict, declared: dict, path: str) -> WeightSequence:
         "declared_beta": _number(declared, "beta", "declared"),
         "declared_theta": _number(declared, "theta", "declared",
                                   positive=True),
-        "declared_zeta": _number(declared, "zeta", "declared"),
-        "declared_chi": _number(declared, "chi", "declared"),
     }
     if rule == "constant":
         _reject_extras(sec, ("rule",), path)
@@ -215,7 +213,7 @@ def parse_config(doc: Any, source: str = "config") -> EnsembleConfig:
                          "numerics"), source)
     declared = doc.get("declared") or {}
     _require_mapping(declared, "declared")
-    _reject_extras(declared, ("beta", "theta", "zeta", "chi"), "declared")
+    _reject_extras(declared, ("beta", "theta"), "declared")
     try:
         series = _build_series(doc["f"], "f")
         weights = _build_weights(doc["weights"], declared, "weights")

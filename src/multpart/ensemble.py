@@ -147,14 +147,10 @@ class WeightSequence:
                  values: Sequence[Number] | None = None,
                  scale: Number = 1,
                  declared_beta: float | None = None,
-                 declared_theta: float | None = None,
-                 declared_zeta: float | None = None,
-                 declared_chi: float | None = None):
+                 declared_theta: float | None = None):
         if rule not in ("constant", "indicator", "power_law", "monomial",
                         "explicit"):
             raise ParamError(f"unknown weight rule {rule!r}")
-        if declared_chi is not None and not (0 < declared_chi < 1):
-            raise ParamError("declared_chi must lie in (0, 1)")
         self.rule = rule
         self.part_set = part_set
         self.theta_param = theta
@@ -164,8 +160,6 @@ class WeightSequence:
         self.scale = scale
         self.declared_beta = declared_beta
         self.declared_theta = declared_theta
-        self.declared_zeta = declared_zeta
-        self.declared_chi = declared_chi
         if rule == "indicator" and part_set is None:
             raise ParamError("indicator rule needs a part set")
         if rule == "power_law" and not (theta > 0 and beta > 0):
@@ -270,6 +264,14 @@ class WeightSequence:
 
     @property
     def is_rational(self) -> bool:
+        """True when every b_k is an exact rational.
+
+        b_1 and b_2 read every parameter of a closed rule; an explicit list
+        is judged by each listed value.
+        """
+        if self.rule == "explicit":
+            return all(self.exact_value(k) is not None
+                       for k in range(1, len(self._values) + 1))
         return self.exact_value(1) is not None and self.exact_value(2) is not None
 
     @property
@@ -328,11 +330,11 @@ class WeightSequence:
             p = float(self.power)
             edge = float(hi) if p >= 0 else float(max(lo, 1))
             return s * float(self.coeff) * (hi - lo) * edge ** p
+        # an explicit list, summed over the block: a difference of prefix
+        # sums can cancel below the block's own total
         end = self.support_end
-        lo2, hi2 = min(lo, end), min(hi, end)
-        if hi2 <= lo2:
-            return 0.0
-        return float(self.prefix_sum(hi2) - self.prefix_sum(lo2))
+        ks = np.arange(min(lo, end) + 1, min(hi, end) + 1)
+        return math.fsum(self.values(ks).tolist())
 
     def block_max_upper(self, lo: int, hi: int) -> float:
         """Upper bound for max_{lo < k <= hi} b_k, safe for huge indices.
@@ -416,14 +418,10 @@ def monomial_weights(coeff: Number, power: Number) -> WeightSequence:
 
 def explicit_weights(values: Sequence[Number],
                      declared_beta: float | None = None,
-                     declared_theta: float | None = None,
-                     declared_zeta: float | None = None,
-                     declared_chi: float | None = None) -> WeightSequence:
+                     declared_theta: float | None = None) -> WeightSequence:
     return WeightSequence("explicit", values=list(values),
                           declared_beta=declared_beta,
-                          declared_theta=declared_theta,
-                          declared_zeta=declared_zeta,
-                          declared_chi=declared_chi)
+                          declared_theta=declared_theta)
 
 
 # ---------------------------------------------------------------------------

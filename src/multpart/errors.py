@@ -50,10 +50,6 @@ class ConvergenceError(MultpartError):
     """An iterative solver ran out of iterations before its tolerance."""
 
 
-class TruncationError(MultpartError):
-    """A truncated table or sum leaves too much mass unaccounted for."""
-
-
 class TailError(MultpartError):
     """A count-law tail scan exceeded its support budget."""
 

@@ -11,25 +11,26 @@ reached three ways:
 * point masses: p_m = a_m x^m / F(x) from the Euler-transform
   (log-derivative) recurrence m p_m = sum_{i<=m} c_i p_{m-i}, where
   c_i = x^i sum_{k|i} k b_k nu_{i/k} and nu_j = j [z^j] log f. It starts
-  from p_0 = 1/F(x) off the product route and needs no table.
+  from p_0 = 1/F(x) off the product route.
 
-A point mass does not depend on how far a table reaches, so point_mass
-and local_limit_probe need no table; the tail certificate (check_tail)
-applies to tables a caller passes in. Exponential-series ensembles
-(gibbs, ordered lists, Ewens) build their exact tables through the same
-recurrence, in integers.
+point_mass and local_limit_probe take their masses from the recurrence
+alone, so no table bounds how far they reach. Only where some c_i < 0
+(a series whose logarithm has negative coefficients) are the masses read
+from a coefficient table that reaches the largest m asked for.
+Exponential-series ensembles (gibbs, ordered lists, Ewens) build their
+exact tables through the same recurrence, in integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .ensemble import Ensemble
-from .errors import ConvergenceError, ParamError, RegimeError, TableError, TruncationError
+from .errors import ConvergenceError, ParamError, RegimeError, TableError
 from .series import ExponentialSeries, GeometricSeries, power_coefficients
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
 
 PREFIX_CAP = 5000
 PRODUCT_TAIL_TOL = 1e-12
-TABLE_TAIL_TOL = 1e-6
 # the mass recurrence rescales its running values past this size
 _RESCALE = 1e250
 _EPS = float(np.finfo(np.float64).eps)
@@ -170,7 +170,6 @@ class CoefficientTable:
     exact: bool
     x0: float = 1.0
     prefix: list[np.ndarray] | None = None
-    _tail_bounds: dict = field(default_factory=dict, repr=False)
 
     def coefficient(self, n: int):
         if not 0 <= n <= self.n_max:
@@ -310,6 +309,9 @@ def _build_exact(e: Ensemble, n_max: int) -> np.ndarray:
                     _scan_weighted(a, k, yv)
         else:
             w = power_coefficients(series, b, n_max // k)
+            if any(isinstance(wj, float) for wj in w):
+                raise TableError("series coefficients are not exactly "
+                                 "representable; use float mode")
             if q > 1:
                 w = [wj * q ** (k * j) for j, wj in enumerate(w)]
             _convolve_stride(a, k, w)
@@ -453,33 +455,6 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
 # point masses
 
 
-def _chernoff_tail(e: Ensemble, x: float, n_max: int) -> float:
-    """Chernoff bound for mu_x(N > n_max).
-
-    sum_{m>n} a_m x^m <= (x/x')^{n+1} F(x') for any x' in (x, rho); the
-    tilt solving mean = n_max + 1 sits at the optimum of that family.
-    """
-    from .asymptotics import solve_tilt
-
-    try:
-        x_prime = solve_tilt(e, n_max + 1).x_n
-    except (ConvergenceError, RegimeError):
-        x_prime = 0.5 * (x + e.rho)
-    if x_prime <= x * (1.0 + 1e-12):
-        return math.inf
-    log_bound = (log_partition_value(e, x_prime) - log_partition_value(e, x)
-                 + (n_max + 1) * (math.log(x) - math.log(x_prime)))
-    return math.exp(min(log_bound, 700.0))
-
-
-def _table_tail_bound(e: Ensemble, table: CoefficientTable, x: float) -> float:
-    cached = table._tail_bounds.get(x)
-    if cached is None:
-        cached = _chernoff_tail(e, x, table.n_max)
-        table._tail_bounds[x] = cached
-    return cached
-
-
 def _log_derivative_weights(e: Ensemble, x: float, m_max: int,
                             nu: np.ndarray | None = None):
     """(c, positive) with c_i = x^i sum_{k|i} k b_k mu_{i/k}, i <= m_max.
@@ -577,41 +552,25 @@ def _tilted_masses(e: Ensemble, x: float, m_max: int) -> np.ndarray:
     return v * half * half
 
 
-def point_mass(e: Ensemble, x: float, m: int, table: CoefficientTable | None = None,
-               check_tail: bool = True) -> float:
+def point_mass(e: Ensemble, x: float, m: int) -> float:
     """mu_x(total size = m) = a_m x^m / F(x).
 
-    table=None (the default) runs the tilted Euler-transform recurrence up
-    to m; no table is built and no truncation can occur. With a table
-    passed in, a_m is read from it and log F(x) comes from the product
-    route; check_tail (the default) then certifies that the table covers
-    the distribution at this x: the bound on mu_x(N > n_max) must stay
-    below 1e-6 or TruncationError is raised. check_tail has no effect
-    without a table.
+    Runs the tilted Euler-transform recurrence up to m; no table is built
+    and no truncation can occur.
     """
     if not (0.0 < x < e.rho):
         raise ParamError(f"x={x} outside (0, {e.rho})")
     if m < 0:
         raise ParamError("m must be >= 0")
-    if table is None:
-        return float(_tilted_masses(e, x, m)[m])
-    if m > table.n_max:
-        raise ParamError(f"m={m} beyond table range 0..{table.n_max}")
-    if check_tail and _table_tail_bound(e, table, x) > TABLE_TAIL_TOL:
-        raise TruncationError(
-            f"table to n_max={table.n_max} misses more than {TABLE_TAIL_TOL} "
-            f"of the mass at x={x}; enlarge the table")
-    return _mass_from_table(table, x, m, log_partition_value(e, x))
+    return float(_tilted_masses(e, x, m)[m])
 
 
-def local_limit_probe(e: Ensemble, x: float, u_grid,
-                      table: CoefficientTable | None = None) -> list[tuple[float, float]]:
+def local_limit_probe(e: Ensemble, x: float, u_grid) -> list[tuple[float, float]]:
     """(u, sqrt(Var) * mu_x(m(u))) at m(u) = round(mean + u * sd).
 
     The values approach the Gaussian density exp(-u^2/2)/sqrt(2 pi) as
-    x -> rho in the ergodic regimes. table=None runs the tilted recurrence
-    once, up to the largest probed m; a table passed in is used through
-    point_mass, tail certificate included.
+    x -> rho in the ergodic regimes. The tilted recurrence runs once, up
+    to the largest probed m.
     """
     regime = e.regime
     if not regime.ergodic:
@@ -623,7 +582,5 @@ def local_limit_probe(e: Ensemble, x: float, u_grid,
     mean = e.mean_N(x)
     sd = math.sqrt(e.var_N(x))
     ms = [max(int(round(mean + u * sd)), 0) for u in us]
-    if table is None:
-        masses = _tilted_masses(e, x, max(ms))
-        return [(u, sd * float(masses[m])) for u, m in zip(us, ms)]
-    return [(u, sd * point_mass(e, x, m, table)) for u, m in zip(us, ms)]
+    masses = _tilted_masses(e, x, max(ms))
+    return [(u, sd * float(masses[m])) for u, m in zip(us, ms)]

@@ -447,6 +447,14 @@ class CustomSeries(SeriesFunction):
             g = self._fn(j)
         return _as_exact(g)
 
+    @property
+    def is_rational(self) -> bool:
+        # a listed polynomial is judged by every coefficient; a rule only
+        # by g_1, and power_coefficients checks the coefficients it reads
+        if self._seq is not None:
+            return all(_as_exact(g) is not None for g in self._seq)
+        return super().is_rational
+
     def _term_count(self, u: float) -> int:
         """Number of terms summed at u and at every smaller point."""
         if self._is_polynomial:
@@ -608,7 +616,8 @@ class PowerSeriesFunction(SeriesFunction):
         if _as_exact(self.exponent) is None or not self.base.is_rational:
             return None
         self._extend(j)
-        return Fraction(self._cache[j])
+        c = self._cache[j]
+        return None if isinstance(c, float) else Fraction(c)
 
     def eval_with_derivatives(self, u):
         f, h, hp, hpp = self.base.eval_with_derivatives(u)
@@ -643,7 +652,7 @@ def power_coefficients(f: SeriesFunction, b: Number, j_max: int) -> list:
         j*c_j = sum_{i=1..j} (i*(b+1) - j) * g_i * c_{j-i},  c_0 = 1,
 
     which needs one pass and no polynomial products. Arithmetic is exact
-    (Fraction/int) when b and all g_i are rational, double precision
+    (Fraction/int) when b and every g_i read are rational, double precision
     otherwise.
 
     Raises NegativeCoefficientError when a genuinely negative coefficient
@@ -658,13 +667,16 @@ def power_coefficients(f: SeriesFunction, b: Number, j_max: int) -> list:
         return [1] + [0] * j_max
 
     b_exact = _as_exact(b)
-    exact = b_exact is not None and f.is_rational
-    if b_exact == 1:
-        if exact:
-            return [_maybe_int(f.exact_coefficient(j)) for j in range(j_max + 1)]
-        return [f.coefficient(j) for j in range(j_max + 1)]
-    if exact:
+    g = None
+    if b_exact is not None and f.is_rational:
         g = [f.exact_coefficient(i) for i in range(j_max + 1)]
+        if any(gi is None for gi in g):
+            g = None  # a rule that turns inexact past the coefficients judged
+    if b_exact == 1:
+        if g is not None:
+            return [_maybe_int(gi) for gi in g]
+        return [f.coefficient(j) for j in range(j_max + 1)]
+    if g is not None:
         bq = b_exact
         c: list = [Fraction(1)]
         for j in range(1, j_max + 1):

@@ -28,6 +28,26 @@ def test_names_sorted():
                         "ordered_lists", "ewens"}
 
 
+@pytest.mark.parametrize("name,params,label", [
+    ("uniform", {}, "uniform"),
+    ("weighted", {"y": 0.5}, "weighted(y=0.5)"),
+    ("restricted", {"parts": "odds"}, "restricted(odds)"),
+    ("restricted", {"parts": {"modulus": 3, "residues": [1, 2]}},
+     "restricted(mod 3 residues [1, 2])"),
+    ("gibbs", {}, "gibbs(theta=1, beta=1)"),
+    ("gibbs", {"theta": 2, "beta": 0.5}, "gibbs(theta=2, beta=0.5)"),
+    ("ordered_lists", {}, "ordered_lists"),
+    ("ewens", {"theta": 2}, "ewens(theta=2)"),
+])
+def test_catalog_labels(name, params, label):
+    e = make(name, **params)
+    assert e.label == label
+    if name in ("gibbs", "ordered_lists"):
+        # the f**b_1 trade is made before the label is set
+        assert e.weights.b_1 == 1.0
+        assert e.series.rate == params.get("theta", 1)
+
+
 def test_dilogarithm_matches_series():
     for y in (0.1, 0.5, 0.9):
         assert dilogarithm(y) == pytest.approx(dilog_series(y), abs=1e-12)

@@ -309,6 +309,31 @@ def test_coeffs_exact_refused_without_rational_data():
     assert "error:" in res.stderr
 
 
+def test_coeffs_and_grand_draws_with_a_fractional_coefficient(tmp_path):
+    # 0.5 is no exact rational here, so the default route is the float one
+    half = tmp_path / "half.yaml"
+    half.write_text("f:\n  kind: custom\n  coefficients: [1, 1, 0.5]\n"
+                    "weights:\n  rule: constant\n")
+    res = run_cli("coeffs", "--ensemble", str(half), "--n", "6")
+    assert res.exit_code == 0
+    got = [float(v) for _, v in csv_rows(res.output)[1:]]
+    assert got == [1, 1, 1.5, 2, 3, 4, 5.25]
+    assert "e+00" in res.output
+    res = run_cli("sample", "--ensemble", str(half), "--mode", "grand",
+                  "--x", "0.5", "--count", "3")
+    assert res.exit_code == 0
+    for line in res.output.strip().splitlines():
+        rec = json.loads(line)
+        assert rec["n"] == sum(k * r for k, r in rec["counts"])
+    listed = tmp_path / "listed.yaml"
+    listed.write_text("f: {kind: geometric, weight: 1}\n"
+                      "weights: {rule: explicit, values: [1, 1, 0.5]}\n")
+    res = run_cli("coeffs", "--ensemble", str(listed), "--n", "6")
+    assert res.exit_code == 0
+    got = [float(v) for _, v in csv_rows(res.output)[1:]]
+    assert got == [1, 1, 2, 2.5, 3.5, 4, 5.375]
+
+
 def test_coeffs_n_zero():
     res = run_cli("coeffs", "--ensemble", "uniform", "--n", "0")
     assert res.exit_code == 0

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import yaml
 
 from multpart import (
     ConfigError,
@@ -139,13 +140,39 @@ def test_declared_block():
     cfg = parse_config({
         "f": {"kind": "geometric", "weight": 1},
         "weights": {"rule": "explicit", "values": [1, 1.5, 1, 1.5]},
-        "declared": {"beta": 1.0, "theta": 1.25, "zeta": 0.9, "chi": 0.5},
+        "declared": {"beta": 1.0, "theta": 1.25},
     })
     w = cfg.ensemble.weights
-    assert w.declared_zeta == 0.9
-    assert w.declared_chi == 0.5
     assert w.beta == 1.0
     assert w.theta == 1.25
+    # only beta and theta may be declared
+    for key in ("zeta", "chi"):
+        with pytest.raises(ConfigError,
+                           match=r"unknown keys \['%s'\]; allowed: "
+                                 r"\['beta', 'theta'\]" % key):
+            parse_config({"f": {"kind": "geometric"},
+                          "weights": {"rule": "constant"},
+                          "declared": {key: 0.5}})
+
+
+def test_module_docstring_examples_parse():
+    import multpart.config
+
+    # each indented block of the module docstring is one YAML document
+    blocks, cur = [], []
+    for line in multpart.config.__doc__.splitlines() + [""]:
+        if line.startswith("    "):
+            cur.append(line[4:])
+        elif cur:
+            blocks.append("\n".join(cur))
+            cur = []
+    assert len(blocks) == 2
+    catalog_cfg, explicit_cfg = (parse_config(yaml.safe_load(b))
+                                 for b in blocks)
+    assert catalog_cfg.ensemble.label == "weighted(y=0.5)"
+    e = explicit_cfg.ensemble
+    assert e.label == "my-ensemble"
+    assert (e.weights.beta, e.weights.theta) == (2.0, 1.0)
 
 
 def test_modulus_part_set():

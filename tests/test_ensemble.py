@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,15 +79,19 @@ def test_weight_validation():
         explicit_weights([])
     with pytest.raises(ParamError):
         explicit_weights([1, -2])
-    with pytest.raises(ParamError):
-        WeightSequence("constant", declared_chi=1.5)
+
+
+def test_explicit_rationality_reads_every_value():
+    assert explicit_weights([1, 1, Fraction(1, 2)]).is_rational
+    assert not explicit_weights([1, 1, 0.5]).is_rational
+    assert not explicit_weights([1, 1, 0.5]).scaled(2).is_rational
+    assert explicit_weights([1, 1, 2.0]).is_rational
 
 
 def test_declared_fields_stored():
     w = explicit_weights([1.5, 1.0, 0.5], declared_beta=1.0,
-                         declared_theta=1.0, declared_zeta=0.8,
-                         declared_chi=0.51)
-    assert (w.declared_zeta, w.declared_chi) == (0.8, 0.51)
+                         declared_theta=1.0)
+    assert (w.declared_beta, w.declared_theta) == (1.0, 1.0)
     assert w.beta == 1.0 and w.theta == 1.0
 
 
@@ -94,6 +99,40 @@ def test_scaled_weights():
     w = power_law_weights(1, 2).scaled(0.5)
     assert w.value(2) == pytest.approx(1.5)
     assert w.prefix_sum(4) == pytest.approx(8.0)
+
+
+# every rule, power laws on both sides of beta = 1, monomials with p < 0,
+# explicit lists that end inside or before the block, and scaled copies
+weight_sequences = st.builds(
+    lambda w, factor: w if factor == 1 else w.scaled(factor),
+    st.one_of(
+        st.just(constant_weights()),
+        st.builds(lambda m, r: indicator_weights(
+            {"modulus": m, "residues": [r]}), st.integers(1, 7),
+            st.integers(0, 6)),
+        st.builds(power_law_weights, st.floats(0.1, 5),
+                  st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 3))),
+        st.builds(monomial_weights, st.floats(0.1, 5), st.floats(-3, 2)),
+        st.builds(explicit_weights, st.lists(st.floats(0, 5), min_size=1,
+                                             max_size=60)),
+    ),
+    st.sampled_from([1, 0.5, 3.0, Fraction(1, 3)]))
+
+
+block_ends = st.one_of(st.integers(0, 80), st.integers(0, 10 ** 4))
+
+
+@given(weight_sequences, block_ends, block_ends)
+@settings(max_examples=200, deadline=None)
+def test_block_bounds_cover_direct_sums(w, lo, hi):
+    # the tail certificate of product_tail_cutoff rests on these bounds;
+    # the slack only absorbs rounding in the directly summed terms
+    lo, hi = min(lo, hi), max(lo, hi)
+    b = w.values(np.arange(lo + 1, hi + 1))
+    total = math.fsum(b.tolist())
+    top = float(b.max()) if b.size else 0.0
+    assert w.block_sum_upper(lo, hi) >= total * (1 - 1e-9)
+    assert w.block_max_upper(lo, hi) >= top * (1 - 1e-9)
 
 
 # -- moments -----------------------------------------------------------------

@@ -11,12 +11,13 @@ from multpart import (
     Ensemble,
     GeometricSeries,
     Singularity,
+    RngStream,
     constant_weights,
+    explicit_weights,
     indicator_weights,
     NegativeCoefficientError,
     ParamError,
     TableError,
-    TruncationError,
     coefficients,
     local_limit_probe,
     log_partition_value,
@@ -25,6 +26,7 @@ from multpart import (
     point_mass,
     power_law_weights,
     product_tail_cutoff,
+    sample_grand,
     solve_tilt,
 )
 from multpart.partition_function import (_factor_weights_float,
@@ -135,6 +137,31 @@ def test_exact_mode_requires_rational():
     e = Ensemble(CustomSeries([1, 1]), power_law_weights(1.0, 0.5))
     with pytest.raises(ParamError):
         coefficients(e, 5, mode="exact")
+
+
+def test_rationality_judged_from_every_listed_value():
+    # g_2 = 0.5 and b_3 = 0.5 are no exact rationals: the default route is
+    # the float one, and exact mode refuses them
+    half = [1, 1, 1.5, 2, 3, 4, 5.25]
+    cases = [(Ensemble(CustomSeries([1, 1, 0.5]), constant_weights()), half),
+             (Ensemble(GeometricSeries(1), explicit_weights([1, 1, 0.5])),
+              [1, 1, 2, 2.5, 3.5, 4, 5.375])]
+    for e, want in cases:
+        assert not e.is_rational
+        for mode in ("auto", "float"):
+            table = coefficients(e, 6, mode=mode)
+            assert not table.exact
+            assert [float(a) for a in table.values] == want
+        with pytest.raises(ParamError):
+            coefficients(e, 6, mode="exact")
+    draw = sample_grand(cases[0][0], 0.5, RngStream(1))
+    assert draw.weight == sum(k * r for k, r in draw.counts.items())
+    # a rule is judged by g_1; its exact table refuses the inexact g_2
+    rule = Ensemble(CustomSeries(lambda j: (1, 1, 0.5)[j] if j < 3 else 0,
+                                 radius=10), constant_weights())
+    with pytest.raises(TableError):
+        coefficients(rule, 6)
+    assert [float(a) for a in coefficients(rule, 6, mode="float").values] == half
 
 
 def test_negative_coefficient_propagates():
@@ -258,8 +285,7 @@ def test_point_mass_at_zero_weight():
 
 def test_point_mass_normalization_and_mean():
     u = make("uniform")
-    table = coefficients(u, 60)
-    masses = [point_mass(u, 0.5, m, table) for m in range(61)]
+    masses = [point_mass(u, 0.5, m) for m in range(61)]
     assert sum(masses) == pytest.approx(1.0, abs=1e-9)
     mean = sum(m * p for m, p in enumerate(masses))
     assert mean == pytest.approx(u.mean_N(0.5), rel=1e-6)
@@ -321,6 +347,16 @@ def test_tilted_masses_rescale_when_log_partition_is_large():
     assert point_mass(e, x, n) == pytest.approx(want, rel=1e-10)
 
 
+def assert_masses_match_table(e, x, got, m_max):
+    # a_m x^m / F(x) with a_m read from the exact table
+    table = coefficients(e, m_max)
+    assert table.exact
+    log_F = log_partition_value(e, x)
+    for m in range(m_max + 1):
+        want = math.exp(table.log_coefficient(m) + m * math.log(x) - log_F)
+        assert got[m] == pytest.approx(want, rel=1e-12)
+
+
 def test_tilted_masses_fall_back_to_tables_on_negative_weights():
     # f = 1 + z + z^2 has mu_3 = 3 [z^3] log f = -2. Parts not divisible by
     # 3 give c_3 = -2 x^3: the recurrence cannot run, and the masses come
@@ -329,11 +365,7 @@ def test_tilted_masses_fall_back_to_tables_on_negative_weights():
                  indicator_weights({"modulus": 3, "residues": [1, 2]}))
     x, m_max = 0.8, 60
     assert not _log_derivative_weights(e, x, m_max)[1]
-    table = coefficients(e, m_max)
-    got = _tilted_masses(e, x, m_max)
-    for m in range(m_max + 1):
-        assert got[m] == pytest.approx(
-            point_mass(e, x, m, table, check_tail=False), rel=1e-12)
+    assert_masses_match_table(e, x, _tilted_masses(e, x, m_max), m_max)
     # (1 + z)^b with b fractional is no count law, and the table says so
     frac = Ensemble(CustomSeries([1, 1]), power_law_weights(1.0, 0.5))
     with pytest.raises(NegativeCoefficientError):
@@ -343,11 +375,8 @@ def test_tilted_masses_fall_back_to_tables_on_negative_weights():
     strict = Ensemble(CustomSeries([1, 1]), constant_weights())
     c, positive = _log_derivative_weights(strict, 0.9, m_max)
     assert positive and (c[1:] > 0).all()
-    table = coefficients(strict, m_max)
-    got = _tilted_masses(strict, 0.9, m_max)
-    for m in range(m_max + 1):
-        assert got[m] == pytest.approx(
-            point_mass(strict, 0.9, m, table, check_tail=False), rel=1e-12)
+    assert_masses_match_table(strict, 0.9, _tilted_masses(strict, 0.9, m_max),
+                              m_max)
 
 
 def test_point_mass_at_1e5_matches_rademacher_and_clears_floor():
@@ -367,50 +396,28 @@ def test_point_mass_at_1e5_matches_rademacher_and_clears_floor():
 
 def test_point_mass_validation():
     u = make("uniform")
-    table = coefficients(u, 20)
     with pytest.raises(ParamError):
-        point_mass(u, 0.0, 3, table)
+        point_mass(u, 0.0, 3)
     with pytest.raises(ParamError):
-        point_mass(u, 0.5, -1, table)
-    with pytest.raises(ParamError):
-        point_mass(u, 0.5, 21, table)
-
-
-def test_point_mass_truncation_guard():
-    u = make("uniform")
-    short = coefficients(u, 30)  # mean at x=0.9 is far beyond 30
-    with pytest.raises(TruncationError):
-        point_mass(u, 0.9, 10, short)
-    # the same call passes with the check disabled
-    assert point_mass(u, 0.9, 10, short, check_tail=False) > 0.0
+        point_mass(u, 0.5, -1)
 
 
 # ---------------------------------------------------------------------------
 # local limit probe
 
 
-@pytest.fixture(scope="module")
-def uniform_llt_table():
-    u = make("uniform")
-    mean = u.mean_N(0.99)
-    sd = math.sqrt(u.var_N(0.99))
-    return u, coefficients(u, math.ceil(mean + 8 * sd), mode="float")
-
-
-def test_local_limit_gaussian_values(uniform_llt_table):
-    u, table = uniform_llt_table
-    got = dict(local_limit_probe(u, 0.99, (-1.0, 0.0, 1.0), table=table))
+def test_local_limit_gaussian_values():
+    got = dict(local_limit_probe(make("uniform"), 0.99, (-1.0, 0.0, 1.0)))
     gauss = 1.0 / math.sqrt(2 * math.pi)
     assert got[0.0] == pytest.approx(gauss, rel=0.10)
     assert got[1.0] == pytest.approx(gauss * math.exp(-0.5), rel=0.10)
     assert got[-1.0] == pytest.approx(gauss * math.exp(-0.5), rel=0.10)
 
 
-def test_local_limit_symmetry(uniform_llt_table):
+def test_local_limit_symmetry():
     # skew decays like sqrt(1-x): at x=0.99 symmetry holds tightly only
     # close to the center
-    u, table = uniform_llt_table
-    got = dict(local_limit_probe(u, 0.99, (-0.25, 0.25), table=table))
+    got = dict(local_limit_probe(make("uniform"), 0.99, (-0.25, 0.25)))
     assert abs(got[0.25] - got[-0.25]) / got[0.25] < 0.05
 
 

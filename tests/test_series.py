@@ -180,6 +180,24 @@ def test_exact_coefficients_flag():
     assert GeometricSeries(1).is_rational
     assert not GeometricSeries(0.3).is_rational
     assert ExponentialSeries(2).is_rational
+    # a listed polynomial is judged by every coefficient, not g_1 alone
+    assert CustomSeries([1, 2, Fraction(1, 2)]).is_rational
+    assert not CustomSeries([1, 1, 0.5]).is_rational
+
+
+def test_power_coefficients_exact_only_when_every_coefficient_is():
+    half = CustomSeries([1, 1, 0.5])
+    assert power_coefficients(half, 1, 3) == [1.0, 1.0, 0.5, 0.0]
+    assert power_coefficients(half, 2, 4) == [1.0, 2.0, 2.0, 1.0, 0.25]
+    # a rule is judged by g_1; the coefficients read past it decide the route
+    rule = CustomSeries(lambda j: (1, 1, 0.5)[j] if j < 3 else 0, radius=10)
+    assert rule.is_rational
+    got = power_coefficients(rule, 2, 4)
+    assert got == [1.0, 2.0, 2.0, 1.0, 0.25]
+    assert all(isinstance(c, float) for c in got)
+    assert rule.exact_coefficient(2) is None
+    assert (rule ** 2).exact_coefficient(2) is None
+    assert power_coefficients(rule, 2, 1) == [1, 2]
 
 
 # -- custom-series evaluation against closed forms ---------------------------
