@@ -347,7 +347,7 @@ class TiltSolution:
         return 1.0 / self.tau_n
 
 
-def _bracket(e: Ensemble, n: int) -> tuple[float, float]:
+def _bracket(e: Ensemble, n: int, blocks: dict) -> tuple[float, float]:
     """An (lo, hi) with mean_N(lo) < n < mean_N(hi), from regime asymptotics.
 
     The guesses keep evaluation points away from the expensive extremes:
@@ -378,7 +378,7 @@ def _bracket(e: Ensemble, n: int) -> tuple[float, float]:
         lo_d, hi_d = 4.0 * d0, d0 / 4.0  # distances below the right end
         for _ in range(80):
             lo = rho - lo_d if kind == "delta" else 1.0 - lo_d
-            if lo <= 0.0 or e.mean_N(lo) < n:
+            if lo <= 0.0 or e.mean_N(lo, blocks) < n:
                 break
             lo_d *= 4.0
         else:
@@ -388,7 +388,7 @@ def _bracket(e: Ensemble, n: int) -> tuple[float, float]:
             hi = rho - hi_d if kind == "delta" else 1.0 - hi_d
             if hi >= rho:
                 hi = rho - (rho - lo) * 1e-12
-            if e.mean_N(hi) > n:
+            if e.mean_N(hi, blocks) > n:
                 return lo, hi
             hi_d /= 4.0
         raise ConvergenceError("could not bracket the tilt from above")
@@ -397,7 +397,7 @@ def _bracket(e: Ensemble, n: int) -> tuple[float, float]:
     lo = 0.0
     for i in range(1, 60):
         hi = rho * (1.0 - 0.5 ** i)
-        if e.mean_N(hi) > n:
+        if e.mean_N(hi, blocks) > n:
             return lo, hi
         lo = hi
     raise ConvergenceError(
@@ -414,6 +414,9 @@ def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
     bracket, or failing to shrink the residual, fall back to bisection; the
     bracket endpoints update by the sign of mean - n each iteration, which
     monotonicity of the mean makes valid.
+
+    Each step takes mean and variance from one pass over the size blocks
+    (Ensemble.mean_var); the blocks' k-only arrays are kept for this solve only.
     """
     if n < 1:
         raise ParamError(f"tilt target must be a positive integer, got {n}")
@@ -421,16 +424,16 @@ def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
     if key in e._memo:
         return e._memo[key]
 
-    lo, hi = _bracket(e, n)
+    blocks: dict = {}
+    lo, hi = _bracket(e, n, blocks)
     x = 0.5 * (lo + hi)
     tol = rel_tol * n
     prev_res = math.inf
     newton_last = False
     for it in range(1, max_iter + 1):
-        mean = e.mean_N(x)
+        mean, var = e.mean_var(x, blocks)
         res = mean - n
         if abs(res) <= tol:
-            var = e.var_N(x)
             sol = TiltSolution(n=n, x_n=x, tau_n=1.0 - x, residual=abs(res),
                                mean=mean, variance=var, iterations=it)
             e._memo[key] = sol
@@ -446,7 +449,6 @@ def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
             prev_res = abs(res)
             continue
         prev_res = abs(res)
-        var = e.var_N(x)
         step = -res * x / var if var > 0.0 else 0.0
         cand = x + step
         if lo < cand < hi and step != 0.0:

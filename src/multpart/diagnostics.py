@@ -379,10 +379,10 @@ def variance_ratio_probe(e: Ensemble, x_grid) -> VarianceRatioResult:
     pts = []
     for x in x_grid:
         x = float(x)
-        mean = e.mean_N(x)
+        mean, var = e.mean_var(x)
         if mean <= 0.0:
             raise ParamError(f"mean weight vanishes at x={x}")
-        ratio = (e.var_N(x) + mean * mean) / (mean * mean)
+        ratio = (var + mean * mean) / (mean * mean)
         pts.append((x, ratio))
     order = e.series.singularity.order or 1.0
     m = float(order) * float(e.weights.b_1)

@@ -9,6 +9,10 @@ f(x^k)^{b_k}, independently over k. The total weight N = sum k R_k then has
     E_x N   = sum_k k   b_k (x^k h(x^k))
     Var_x N = sum_k k^2 b_k (x^k h(x^k) + x^{2k} h'(x^k)),   h = f'/f.
 
+The sums walk the part sizes in blocks of 4096; mean_var takes both in one
+pass, once per Newton step of a tilt solve. A block's k-only arrays are built
+per call, or once per solve in a store that the solve drops on return.
+
 Regularity of the cumulative weights B_k = sum_{j<=k} b_j (growth like
 theta * k^beta) is what the asymptotic layer relies on; the two condition
 checks at the bottom of this module probe it: a resonance/density check used
@@ -30,6 +34,8 @@ from .series import Number, SeriesFunction, _as_exact
 
 _BLOCK = 4096
 _STOP_REL = 1e-14
+_MEAN = (1, False)  # (power of k, variance correction)
+_VAR = (2, True)
 
 
 # ---------------------------------------------------------------------------
@@ -533,54 +539,70 @@ class Ensemble:
             raise DomainError(
                 f"tilt x={x} outside [0, {self.rho}) for this ensemble")
 
-    def _moment_sum(self, x: float, power: int, k_min: int = 1,
-                    variance: bool = False) -> float:
-        """sum_{k>=k_min} k^power b_k x^k h(x^k) (+ variance correction)."""
+    def _moment_sums(self, x: float, wants: tuple, k_min: int = 1,
+                     blocks: dict | None = None) -> list[float]:
+        """sum_{k>=k_min} k^p b_k x^k h(x^k) (+ variance correction) for each
+        (p, variance) wanted, in one walk over the size blocks; each sum stops
+        by its own test. blocks keeps the k-only arrays for one tilt solve.
+        """
+        totals = [0.0] * len(wants)
         if x == 0.0:
-            return 0.0
-        total = 0.0
-        start = k_min
+            return totals
+        live = list(range(len(wants)))
         log_x = math.log(x)
         end_support = self.weights.support_end
-        while True:
-            ks = np.arange(start, start + _BLOCK, dtype=np.int64)
-            bk = self.weights.values(ks)
-            xk = np.exp(ks * log_x)
+        start = k_min
+        while live:
+            blk = None if blocks is None else blocks.get(start)
+            if blk is None:
+                ks = np.arange(start, start + _BLOCK, dtype=np.int64)
+                kf, bk = ks.astype(float), self.weights.values(ks)
+                # the stop test reads the last size that carries weight: with
+                # odd parts only, every block ends on a size with b_k = 0
+                nz = np.flatnonzero(bk) if bk[-1] == 0.0 else ()
+                blk = (kf, (bk, kf * bk, kf * kf * bk),
+                       nz[-1] if len(nz) else _BLOCK - 1)
+                if blocks is not None:
+                    blocks[start] = blk
+            kf, kpb, last = blk
+            xk = np.exp(kf * log_x)
             h, hp = self.series.h_vector(xk)
-            if variance:
-                terms = ks.astype(float) ** power * bk * (xk * h + xk * xk * hp)
-            else:
-                terms = ks.astype(float) ** power * bk * xk * h
-            total += float(terms.sum())
+            for j in tuple(live):
+                power, variance = wants[j]
+                if variance:
+                    terms = kpb[power] * (xk * h + xk * xk * hp)
+                else:
+                    terms = kpb[power] * xk * h
+                totals[j] += float(terms.sum())
+                if (xk[last] < 0.5 and float(terms[last])
+                        < _STOP_REL * max(totals[j], 1e-300)):
+                    live.remove(j)
             start += _BLOCK
             if end_support is not None and start > end_support:
                 break
-            # the stop test reads the last size that carries weight: with
-            # odd parts only, every block ends on a size with b_k = 0
-            i = _BLOCK - 1
-            if bk[i] == 0.0:
-                nz = np.flatnonzero(bk)
-                i = nz[-1] if nz.size else i
-            if xk[i] < 0.5 and float(terms[i]) < _STOP_REL * max(total, 1e-300):
-                break
-            if start > 10 ** 9:
+            if live and start > 10 ** 9:
                 raise DomainError("moment sum failed to terminate")
-        return total
+        return totals
 
-    def mean_N(self, x: float) -> float:
+    def mean_N(self, x: float, blocks: dict | None = None) -> float:
         """Expected total weight at tilt x."""
         self._check_x(x)
-        return self._moment_sum(x, power=1)
+        return self._moment_sums(x, (_MEAN,), blocks=blocks)[0]
 
     def var_N(self, x: float) -> float:
         """Variance of the total weight at tilt x."""
         self._check_x(x)
-        return self._moment_sum(x, power=2, variance=True)
+        return self._moment_sums(x, (_VAR,))[0]
+
+    def mean_var(self, x: float, blocks: dict | None = None) -> tuple:
+        """(mean_N(x), var_N(x)) from one walk over the size blocks."""
+        self._check_x(x)
+        return tuple(self._moment_sums(x, (_MEAN, _VAR), blocks=blocks))
 
     def mean_counts_tail(self, x: float, k_min: int) -> float:
         """sum_{k>=k_min} E_x R_k, the expected number of parts above k_min."""
         self._check_x(x)
-        return self._moment_sum(x, power=0, k_min=max(1, k_min))
+        return self._moment_sums(x, ((0, False),), k_min=max(1, k_min))[0]
 
 
 def classify_regime(e: Ensemble) -> Regime:

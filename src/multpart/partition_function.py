@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .asymptotics import solve_tilt
 from .ensemble import Ensemble
 from .errors import ConvergenceError, ParamError, RegimeError, TableError
 from .series import ExponentialSeries, GeometricSeries, power_coefficients
@@ -376,8 +377,6 @@ def _factor_weights_float(e: Ensemble, k: int, n_max: int, x0: float) -> np.ndar
 
 
 def _default_tilt(e: Ensemble, n_max: int) -> float:
-    from .asymptotics import solve_tilt
-
     try:
         return solve_tilt(e, max(n_max, 1)).x_n
     except (ConvergenceError, RegimeError) as exc:
@@ -414,9 +413,10 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
     """Build a_0..a_{n_max}.
 
     mode: "auto" picks exact arithmetic when the ensemble is rational,
-    extended floats otherwise; "exact"/"float" force a route. Exact tables
-    of exponential-series ensembles come from the integer Euler-transform
-    recurrence; every other table is built factor by factor.
+    extended floats otherwise or when a coefficient read turns out inexact;
+    "exact"/"float" force a route. Exact tables of exponential-series
+    ensembles come from the integer Euler-transform recurrence; every other
+    table is built factor by factor.
 
     keep_prefix also retains the tilted per-prefix rows (memory grows
     quadratically: capped at n_max = 5000). x0 overrides the tilt, which
@@ -430,7 +430,12 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
     if exact and not e.is_rational:
         raise ParamError("exact mode needs rational series and weights")
 
-    values = _build_exact(e, n_max) if exact else _build_float(e, n_max)
+    try:
+        values = _build_exact(e, n_max) if exact else _build_float(e, n_max)
+    except TableError:  # a rule judged rational by g_1 turned inexact later
+        if mode != "auto" or not exact:
+            raise
+        exact, values = False, _build_float(e, n_max)
     if values[0] != 1:
         raise TableError("a_0 != 1: factor normalization broken")
     if exact and e.weights.b_1 > 0 and any(v <= 0 for v in values[1:].tolist()):
@@ -579,8 +584,8 @@ def local_limit_probe(e: Ensemble, x: float, u_grid) -> list[tuple[float, float]
     us = [float(u) for u in u_grid]
     if not us:
         return []
-    mean = e.mean_N(x)
-    sd = math.sqrt(e.var_N(x))
+    mean, var = e.mean_var(x)
+    sd = math.sqrt(var)
     ms = [max(int(round(mean + u * sd)), 0) for u in us]
     masses = _tilted_masses(e, x, max(ms))
     return [(u, sd * float(masses[m])) for u, m in zip(us, ms)]

@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
+from .asymptotics import solve_tilt
 from .ensemble import Ensemble
 from .errors import (
     BudgetExhausted,
@@ -458,8 +459,8 @@ def sample_count(e: Ensemble, k: int, x: float, rng: RngStream) -> int:
 
 def _partition_from_row(ks: np.ndarray, row: np.ndarray) -> Partition:
     nz = np.nonzero(row)[0]
-    counts = {int(ks[i]): int(row[i]) for i in nz}
-    return Partition(counts, int((ks[nz] * row[nz]).sum()))
+    return Partition(dict(zip(ks[nz].tolist(), row[nz].tolist())),
+                     int(ks[nz] @ row[nz]))
 
 
 def _partition_from_entries(n: int, r_1: int, ks: np.ndarray,
@@ -500,8 +501,6 @@ def default_budget(e: Ensemble, n: int, mode: str = "rejection") -> int:
     1/sqrt(2 pi Var N(x_n)). Divide-and-conquer ("pdc") accepts with that
     probability divided by max_j P(R_1 = j).
     """
-    from .asymptotics import solve_tilt
-
     if mode not in ("rejection", "pdc"):
         raise ParamError(f"no attempt budget for sampling mode {mode!r}")
     sol = solve_tilt(e, n)
@@ -515,8 +514,6 @@ def default_budget(e: Ensemble, n: int, mode: str = "rejection") -> int:
 def _sample_fixed(e: Ensemble, n: int, rng: RngStream, budget: int | None,
                   mode: str) -> Partition:
     """First accepted attempt at the tilt x_n; see the two callers."""
-    from .asymptotics import solve_tilt
-
     if n < 1:
         raise ParamError("n must be >= 1")
     if budget is None:
@@ -600,8 +597,6 @@ class _RecursivePlan:
     p_m ~ v_m exp(shift_m) (_mass_recurrence), c_i, kb_k = k b_k, nu_j."""
 
     def __init__(self, e: Ensemble, n: int):
-        from .asymptotics import solve_tilt
-
         if n < 0:
             raise ParamError("n must be >= 0")
         self.n = n

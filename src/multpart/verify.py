@@ -166,7 +166,7 @@ def criterion_sampler_moments(seed: int | None = None) -> CriterionResult:
     seed = 12 if seed is None else seed
     e = make("uniform")
     x, m_draws = 0.9, 10_000
-    mean_ref, var_ref = e.mean_N(x), e.var_N(x)
+    mean_ref, var_ref = e.mean_var(x)
     ns = np.array([sample_grand(e, x, RngStream(seed, i)).weight
                    for i in range(m_draws)], dtype=np.float64)
     mean_emp = float(ns.mean())
@@ -328,7 +328,7 @@ def criterion_nonergodic_ratio(seed: int | None = None) -> CriterionResult:
     t0 = time.perf_counter()
     e = make("weighted", y=2)
     x = e.rho * (1.0 - 1e-4)
-    mean, var = e.mean_N(x), e.var_N(x)
+    mean, var = e.mean_var(x)
     ratio = (var + mean * mean) / (mean * mean)
     probe = variance_ratio_probe(e, [e.rho * (1 - 10.0 ** -j)
                                      for j in (2, 3, 4)])

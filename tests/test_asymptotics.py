@@ -246,6 +246,65 @@ def test_tilt_nonergodic_pole_gap():
     assert sol.residual <= 1e-10 * 10 ** 4
 
 
+# x_n, mean, variance (float.hex) and iterations of solve_tilt: any change
+# to the order of a moment term or to a stop test shows as a changed bit
+TILT_GOLDEN = {
+    ("uniform", 100): ("0x1.c3798d171d93bp-1", "0x1.900000002c866p+6",
+        "0x1.952c345d617d4p+10", 7),
+    ("uniform", 10000): ("0x1.f97ce6298dacap-1", "0x1.388000000002fp+13",
+        "0x1.7e325f00065e7p+20", 7),
+    ("uniform", 1000000): ("0x1.ff5808bb0f4f2p-1", "0x1.e847fffffffe5p+19",
+        "0x1.73eef0b0e1673p+30", 7),
+    ("weighted", 100): ("0x1.da667f8d1aea0p-1", "0x1.9000000000068p+6",
+        "0x1.480ad540a34bfp+11", 7),
+    ("weighted", 10000): ("0x1.fc1bab5f82490p-1", "0x1.387fffffffff9p+13",
+        "0x1.3ff57dd9f8238p+21", 7),
+    ("weighted", 1000000): ("0x1.ff9c0629a2272p-1", "0x1.e847ffffffe8ap+19",
+        "0x1.3874bf810fe34p+31", 7),
+    ("restricted", 100): ("0x1.d39e6d10c389dp-1", "0x1.9000000000186p+6",
+        "0x1.13d635a3158e5p+11", 7),
+    ("restricted", 10000): ("0x1.fb60af4cc6309p-1", "0x1.3880000000019p+13",
+        "0x1.0d348aeb5d335p+21", 7),
+    ("restricted", 1000000): ("0x1.ff892f4a9cd6ep-1", "0x1.e847ffffffd92p+19",
+        "0x1.06e4e50f0c805p+31", 7),
+    ("gibbs11", 100): ("0x1.cf4bc9462fe84p-1", "0x1.900000000038ap+6",
+        "0x1.f49fe66e94b20p+10", 7),
+    ("gibbs11", 10000): ("0x1.fae7d13513119p-1", "0x1.387fffffffff6p+13",
+        "0x1.e8498fff5c275p+20", 7),
+    ("gibbs11", 1000000): ("0x1.ff7cfe574d32bp-1", "0x1.e847ffffffcc3p+19",
+        "0x1.dcd653e7f96eep+30", 7),
+    ("gibbs205", 100): ("0x1.de709a001997bp-1", "0x1.9000000000005p+6",
+        "0x1.15b4d43510f3bp+11", 7),
+    ("gibbs205", 10000): ("0x1.fe631538ccdf6p-1", "0x1.387ffffffffb3p+13",
+        "0x1.222b56462a8b4p+22", 7),
+    ("gibbs205", 1000000): ("0x1.ffecce019ee72p-1", "0x1.e848000000a0cp+19",
+        "0x1.313a7d37149e4p+33", 7),
+    ("strict", 100): ("0x1.d39e6d10c389dp-1", "0x1.9000000000185p+6",
+        "0x1.13d635a3158e5p+11", 7),
+    ("strict", 10000): ("0x1.fb60af4cc6309p-1", "0x1.388000000000ep+13",
+        "0x1.0d348aeb5d29bp+21", 7),
+    ("strict", 1000000): ("0x1.ff892f4a9cd78p-1", "0x1.e848000000213p+19",
+        "0x1.06e4e50f0f6bfp+31", 7),
+}
+
+TILT_FAMILIES = {
+    "uniform": lambda: make("uniform"),
+    "weighted": lambda: make("weighted", y=0.5),
+    "restricted": lambda: make("restricted", parts="odds"),
+    "gibbs11": lambda: make("gibbs", theta=1, beta=1),
+    "gibbs205": lambda: make("gibbs", theta=2, beta=0.5),
+    "strict": lambda: Ensemble(CustomSeries([1, 1]), constant_weights()),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(TILT_GOLDEN))
+def test_tilt_solve_bit_identical(name, n):
+    sol = solve_tilt(TILT_FAMILIES[name](), n)
+    x_n, mean, var, iterations = TILT_GOLDEN[name, n]
+    assert (sol.x_n.hex(), sol.mean.hex(), sol.variance.hex(),
+            sol.iterations) == (x_n, mean, var, iterations)
+
+
 def test_tilt_rejects_bad_n():
     with pytest.raises(ParamError):
         solve_tilt(make("uniform"), 0)

@@ -197,6 +197,40 @@ def test_moments_against_oracle_weighted():
     assert e.var_N(0.8) == pytest.approx(var, rel=1e-11)
 
 
+@pytest.mark.parametrize("name,params,x", [
+    ("uniform", {}, 0.999),
+    ("restricted", {"parts": "odds"}, 0.9995),  # blocks end on b_k = 0
+    ("gibbs", {"theta": 2, "beta": 0.5}, 0.9995),
+])
+def test_mean_var_is_both_moments_exactly(name, params, x):
+    e = make(name, **params)
+    blocks: dict = {}
+    mean = e.mean_N(x, blocks)
+    mean_blocks = len(blocks)
+    # the variance terms decay more slowly: its stop test ends in a later
+    # block, and the walk goes on for it alone
+    assert e.mean_var(x, blocks) == (mean, e.var_N(x))
+    assert len(blocks) > mean_blocks
+    for y in (0.3, x, 0.9999):
+        # a store filled at other tilts leaves every sum unchanged
+        assert e.mean_var(y) == e.mean_var(y, blocks) == (e.mean_N(y), e.var_N(y))
+    assert e.mean_var(0.0) == (0.0, 0.0)
+
+
+def test_mean_counts_tail_against_direct_sum():
+    # E_x R_k = b_k x^k / (1 - x^k) for geometric f; the walk stops once a
+    # term is below 1e-14 of the total, leaving a tail of about that over
+    # 1 - x, so 1e-11 relative at x = 0.999
+    x = 0.999
+    for parts, step in ((None, 1), ("odds", 2)):
+        e = make("uniform") if parts is None else make("restricted", parts=parts)
+        for k_min in (2, 1501, 9000):
+            k0 = k_min if step == 1 or k_min % 2 else k_min + 1
+            want = math.fsum(x ** k / (1 - x ** k)
+                             for k in range(k0, 80_000, step))
+            assert e.mean_counts_tail(x, k_min) == pytest.approx(want, rel=5e-11)
+
+
 def test_domain_checks():
     e = uniform()
     with pytest.raises(DomainError):

@@ -156,12 +156,16 @@ def test_rationality_judged_from_every_listed_value():
             coefficients(e, 6, mode="exact")
     draw = sample_grand(cases[0][0], 0.5, RngStream(1))
     assert draw.weight == sum(k * r for k, r in draw.counts.items())
-    # a rule is judged by g_1; its exact table refuses the inexact g_2
+    # a rule is judged by g_1; at the inexact g_2 the default route falls
+    # back to floats, and the exact table refuses it
     rule = Ensemble(CustomSeries(lambda j: (1, 1, 0.5)[j] if j < 3 else 0,
                                  radius=10), constant_weights())
+    for mode in ("auto", "float"):
+        table = coefficients(rule, 6, mode=mode)
+        assert not table.exact
+        assert [float(a) for a in table.values] == half
     with pytest.raises(TableError):
-        coefficients(rule, 6)
-    assert [float(a) for a in coefficients(rule, 6, mode="float").values] == half
+        coefficients(rule, 6, mode="exact")
 
 
 def test_negative_coefficient_propagates():
