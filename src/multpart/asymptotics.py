@@ -25,6 +25,15 @@ pieces diverge like v^{beta-1} but their difference stays O(v^beta), and the
 closed-form series kinds evaluate the difference at full relative precision
 down to v = 0.
 
+Every integral is taken by one adaptive 21-point Gauss-Kronrod routine
+(QUADPACK's qk21 rule) that works on arrays. The pieces it integrates
+start cut at powers of 2, so most integrals finish in one round. Each round
+evaluates the integrand once, on the nodes of every new interval. An
+interval's error estimate is |K21 - G10|. Until a piece's summed estimate
+meets the tolerance, its intervals above an equal share of it are
+bisected. A piece that reaches _QUAD_LIMIT intervals, or an integrand that
+raises DomainError or is not finite, raises QuadratureError.
+
 The tilt x_n solves mean_N(x) = n; monotonicity of the mean makes the
 solution unique, and var_N/x is its derivative, which Newton steps use
 inside a hard bracket.
@@ -36,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .ensemble import Ensemble, Regime
 from .errors import (ConvergenceError, DomainError, ParamError,
@@ -44,8 +52,31 @@ from .errors import (ConvergenceError, DomainError, ParamError,
 from .series import EVAL_RADIUS_FRACTION
 
 _V_BASE = 40.0
+# most intervals one piece of an integral may be split into
 _QUAD_LIMIT = 300
 _TILT_MAX_ITER = 200
+
+# QUADPACK's qk21 on [-1, 1]: Kronrod nodes x_1 > ... > x_10 > x_11 = 0
+# and weights; the 10-point Gauss rule uses x_2, x_4, ..., x_10
+_XK = np.array([
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+    0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+    0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+    0.14887433898163122, 0.0])
+_WK = np.array([
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+    0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+    0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+    0.14773910490133849, 0.1494455540029169])
+_WG = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                0.26926671930999635, 0.29552422471475287])
+_GK_NODES = np.concatenate((-_XK[:-1], _XK[::-1]))
+_GK_KRONROD = np.concatenate((_WK[:-1], _WK[::-1]))
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1::2] = np.concatenate((_WG, _WG[::-1]))
+# starting cuts: halving toward the endpoint singularities at v = 0, doubling
+# over the exponentially decaying tail
+_CUTS = 2.0 ** np.arange(-30, 7)
 
 
 def _require_ergodic(e: Ensemble, what: str) -> None:
@@ -70,25 +101,25 @@ def _upper_cutoff(beta: float, t: float = 0.0) -> float:
     return max(_V_BASE + 25.0 * max(0.0, beta - 1.0), t + 45.0 + 5.0 * beta)
 
 
-def _integrands(e: Ensemble):
-    """Scalar callables g, G, H of v, stable for small v."""
-    bundle = e.series.log_eval_bundle
+# the integrands and the boundary term of phi, in v, beta, g, G and H
+_INTEGRANDS = {
+    "omega": lambda v, b, g, G, H: v ** (b + 1) * G - v ** b * g,
+    "sigma_sq": lambda v, b, g, G, H: v ** (b + 2) * H - 2.0 * v ** (b + 1) * G,
+    "shape": lambda v, b, g, G, H: v ** b * G,
+    "boundary": lambda v, b, g, G, H: v ** b * g,
+}
 
-    def g(v: float) -> float:
-        h, _, _ = bundle(v)
-        return math.exp(-v) * h
 
-    def G(v: float) -> float:
-        h, hp, _ = bundle(v)
-        u = math.exp(-v)
-        return u * (h + u * hp)
+def _integrand(e: Ensemble, beta: float, name: str):
+    """An integrand of _INTEGRANDS on arrays of v, stable for small v."""
+    combine = _INTEGRANDS[name]
 
-    def H(v: float) -> float:
-        h, hp, hpp = bundle(v)
-        u = math.exp(-v)
-        return u * (h + 3.0 * u * hp + u * u * hpp)
-
-    return g, G, H
+    def w(v):
+        h, hp, hpp = e.series.log_eval_bundles(v)
+        u = np.exp(-v)
+        return combine(v, beta, u * h, u * (h + u * hp),
+                       u * (h + 3.0 * u * hp + u * u * hpp))
+    return w
 
 
 def _eval_floor(e: Ensemble) -> float:
@@ -109,32 +140,73 @@ def _front_piece(w, beta: float, v_bar: float) -> float:
     and integrate the fit; the neglected remainder is O(v_bar^{beta+4}).
     """
     vs = v_bar * np.array([1.0, 1.4, 1.8, 2.3, 2.9, 3.6])
-    ys = np.array([w(float(v)) for v in vs])
     A = np.vstack([vs ** beta, vs ** (beta + 1), vs ** (beta + 2)]).T
-    c, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    c, *_ = np.linalg.lstsq(A, w(vs), rcond=None)
     return float(sum(c[i] * v_bar ** (beta + 1 + i) / (beta + 1 + i)
                      for i in range(3)))
 
 
-def _quad(fn, lo: float, hi: float, abs_tol: float, what: str,
-          points=None) -> float:
-    if points is not None:
-        points = tuple(p for p in points if lo < p < hi) or None
-    try:
-        val, err = integrate.quad(fn, lo, hi, epsabs=abs_tol * 1e-2,
-                                  epsrel=1e-11, limit=_QUAD_LIMIT,
-                                  points=points)
-    except Exception as exc:  # quad propagates integrand failures
-        raise QuadratureError(f"{what}: integrand evaluation failed: {exc}")
-    if not math.isfinite(val) or err > abs_tol:
-        raise QuadratureError(
-            f"{what}: adaptive quadrature did not reach |error| <= {abs_tol} "
-            f"(estimate {err:.2e})")
-    return val
+def _integrate(w, edges, abs_tol: float, what: str):
+    """Integrals of the array function w over the pieces between the
+    increasing edges, and their error estimates (see the module notes)."""
+    edges = np.asarray(edges, dtype=float)
+    k = edges.size - 1
+    a = np.union1d(edges, _CUTS[(_CUTS > edges[0]) & (_CUTS < edges[-1])])
+    a, b = a[:-1], a[1:]
+    own = np.searchsorted(edges, a, side="right") - 1
+    val = est = np.empty(0)
+    while True:
+        # the intervals from index val.size on are new
+        half = 0.5 * (b[val.size:] - a[val.size:])
+        x = (a[val.size:] + half)[:, None] + half[:, None] * _GK_NODES
+        try:
+            f = w(x.ravel()).reshape(x.shape)
+        except DomainError as exc:
+            raise QuadratureError(
+                f"{what}: integrand evaluation failed: {exc}") from exc
+        if not np.all(np.isfinite(f)):
+            raise QuadratureError(f"{what}: integrand is not finite")
+        kron = half * (f @ _GK_KRONROD)
+        val = np.append(val, kron)
+        est = np.append(est, np.abs(kron - half * (f @ _GK_GAUSS)))
+        errs, count = np.bincount(own, est, k), np.bincount(own, minlength=k)
+        open_ = errs > abs_tol
+        if not open_.any():
+            return np.bincount(own, val, k), errs
+        if (count[open_] >= _QUAD_LIMIT).any():
+            i = int(np.argmax(open_ & (count >= _QUAD_LIMIT)))
+            raise QuadratureError(
+                f"{what}: error estimate {errs[i]:.2e} above the tolerance "
+                f"{abs_tol:.2e} at {count[i]} intervals")
+        split = open_[own] & (est > abs_tol / count[own])
+        keep, cut = ~split, 0.5 * (a[split] + b[split])
+        a = np.concatenate((a[keep], a[split], cut))
+        b = np.concatenate((b[keep], cut, b[split]))
+        own = np.concatenate((own[keep], own[split], own[split]))
+        val, est = val[keep], est[keep]
 
 
 # ---------------------------------------------------------------------------
 # the three constants
+
+
+def _growth_constant(e: Ensemble, name: str, tol: float,
+                     shift: float) -> float:
+    """Integral over (0, V) of the integrand `name`, ~ v^(beta+shift) at 0,
+    to absolute accuracy tol; memoised under its name."""
+    if name in e._memo:
+        return e._memo[name]
+    _require_ergodic(e, name)
+    beta = _growth_beta(e)
+    w = _integrand(e, beta, name)
+    v0 = _eval_floor(e)
+    front = _front_piece(w, beta + shift, v0) if v0 > 0.0 else 0.0
+    (val,), _ = _integrate(w, [v0, _upper_cutoff(beta)], tol, name)
+    val = float(front + val)
+    if val <= 0.0:
+        raise QuadratureError(f"{name} evaluated nonpositive ({val})")
+    e._memo[name] = val
+    return val
 
 
 def omega(e: Ensemble) -> float:
@@ -142,24 +214,7 @@ def omega(e: Ensemble) -> float:
 
     Absolute accuracy 1e-9. The theta factor is deliberately not included.
     """
-    if "omega" in e._memo:
-        return e._memo["omega"]
-    _require_ergodic(e, "omega")
-    beta = _growth_beta(e)
-    g, G, _ = _integrands(e)
-
-    def w(v: float) -> float:
-        return v ** (beta + 1) * G(v) - v ** beta * g(v)
-
-    v0 = _eval_floor(e)
-    front = _front_piece(w, beta, v0) if v0 > 0.0 else 0.0
-    V = _upper_cutoff(beta)
-    val = front + _quad(w, v0, V, 1e-9, "omega",
-                        points=(max(v0, 1e-3), 1.0, 5.0))
-    if val <= 0.0:
-        raise QuadratureError(f"omega evaluated nonpositive ({val})")
-    e._memo["omega"] = val
-    return val
+    return _growth_constant(e, "omega", 1e-9, 0.0)
 
 
 def sigma_sq(e: Ensemble) -> float:
@@ -168,24 +223,7 @@ def sigma_sq(e: Ensemble) -> float:
     Equals (beta+1)*Omega analytically; evaluated by its own quadrature to
     absolute accuracy 1e-8 so the identity stays a genuine cross-check.
     """
-    if "sigma_sq" in e._memo:
-        return e._memo["sigma_sq"]
-    _require_ergodic(e, "sigma_sq")
-    beta = _growth_beta(e)
-    _, G, H = _integrands(e)
-
-    def w(v: float) -> float:
-        return v ** (beta + 2) * H(v) - 2.0 * v ** (beta + 1) * G(v)
-
-    v0 = _eval_floor(e)
-    front = _front_piece(w, beta + 1.0, v0) if v0 > 0.0 else 0.0
-    V = _upper_cutoff(beta)
-    val = front + _quad(w, v0, V, 1e-8, "sigma_sq",
-                        points=(max(v0, 1e-3), 1.0, 5.0))
-    if val <= 0.0:
-        raise QuadratureError(f"sigma_sq evaluated nonpositive ({val})")
-    e._memo["sigma_sq"] = val
-    return val
+    return _growth_constant(e, "sigma_sq", 1e-8, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,31 +236,47 @@ def phi_at_zero_divergent(e: Ensemble) -> bool:
     return e.series.radius == 1.0 and 0.0 < beta <= 1.0
 
 
-def limit_shape(e: Ensemble, t: float) -> float:
-    """Value of the normalized limit shape phi at t. Accuracy 1e-8.
+def _shape_values(e: Ensemble, beta: float, om: float, ts: np.ndarray,
+                  tol: float, what: str):
+    """phi, the integrals int_{t_i}^inf v^beta G dv, and their summed
+    error estimate at the increasing points ts: one quadrature call
+    integrates each piece between the ts and the tail to tol, and suffix
+    sums give the integrals."""
+    vals, errs = _integrate(_integrand(e, beta, "shape"),
+                            np.append(ts, _upper_cutoff(beta, ts[-1])),
+                            tol, what)
+    suffix = np.cumsum(vals[::-1])[::-1]
+    boundary = np.zeros_like(ts)
+    pos = ts > 0.0
+    boundary[pos] = _integrand(e, beta, "boundary")(ts[pos])
+    return np.maximum((suffix - boundary) / om, 0.0), suffix, float(errs.sum())
 
-    phi is nonincreasing, integrates to 1 over (0, inf), and may diverge at
-    t = 0 (see phi_at_zero_divergent); t = 0 is accepted only in the finite
-    case.
+
+def limit_shape(e: Ensemble, t):
+    """Value of the normalized limit shape phi at t, a float or an array.
+
+    Accuracy 1e-10 * max(1, Omega) / Omega. phi is nonincreasing,
+    integrates to 1 over (0, inf), and may diverge at t = 0 (see
+    phi_at_zero_divergent); t = 0 is accepted only in the finite case. All
+    points of an array share one quadrature call.
     """
     _require_ergodic(e, "limit_shape")
-    if t < 0.0:
-        raise DomainError(f"limit shape evaluated at negative t={t}")
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0.0):
+        raise DomainError(f"limit shape evaluated at t={t.min()}, not >= 0")
     beta = _growth_beta(e)
-    if t == 0.0 and phi_at_zero_divergent(e):
+    if np.any(t == 0.0) and phi_at_zero_divergent(e):
         raise DomainError(
             "limit shape diverges at t=0 for this ensemble (singularity at 1 "
             f"with growth exponent {beta} <= 1)")
+    if t.size == 0:
+        return t
     om = omega(e)
-    g, G, _ = _integrands(e)
-
-    def w(v: float) -> float:
-        return v ** beta * G(v)
-
-    upper = _upper_cutoff(beta, t)
-    integral = _quad(w, t, upper, 1e-10 * max(1.0, om), "limit_shape")
-    boundary = t ** beta * g(t) if t > 0.0 else 0.0
-    return max((integral - boundary) / om, 0.0)
+    ts, back = np.unique(t, return_inverse=True)
+    # each suffix sums up to ts.size integrals
+    tol = 1e-10 * max(1.0, om) / ts.size
+    phis = _shape_values(e, beta, om, ts, tol, "limit_shape")[0][back]
+    return float(phis) if t.ndim == 0 else phis.reshape(t.shape)
 
 
 @dataclass
@@ -231,7 +285,8 @@ class ShapeCurve:
 
     integral_check is head + trapezoid + tail for int_0^inf phi dt and
     should be 1 to about the grid's discretization error; phi_at_zero is
-    the t=0 value, inf when the shape diverges there.
+    the t=0 value, inf when the shape diverges there. error_estimate is the
+    summed error estimate of the curve's quadratures.
     """
 
     ts: np.ndarray
@@ -240,6 +295,7 @@ class ShapeCurve:
     beta: float
     phi_at_zero: float
     integral_check: float
+    error_estimate: float
 
     @property
     def nonincreasing(self) -> bool:
@@ -254,52 +310,36 @@ def shape_curve(e: Ensemble, t_max: float = 5.0,
                 grid_size: int = 200) -> ShapeCurve:
     """Evaluate the limit shape on grid_size uniform points of (0, t_max].
 
-    One pass: per-interval integrals of v^beta G are suffix-summed, so the
-    whole curve costs about one adaptive quadrature per grid point.
+    One quadrature call integrates v^beta G over every grid interval and
+    the tail at once, and suffix sums give phi; two more integrate
+    v^{beta+1} G - v^beta g over the head and the tail of the integral
+    check.
     """
     _require_ergodic(e, "shape_curve")
     if not (t_max > 0.0) or grid_size < 2:
         raise ParamError("shape_curve needs t_max > 0 and grid_size >= 2")
     beta = _growth_beta(e)
     om = omega(e)
-    g, G, _ = _integrands(e)
-
-    def wG(v: float) -> float:
-        return v ** beta * G(v)
-
     ts = np.linspace(t_max / grid_size, t_max, grid_size)
     v0 = _eval_floor(e)
     if v0 >= float(ts[0]):
         raise ParamError(
             "grid too fine near 0 for a truncated series; lower grid_size "
             "or raise t_max")
-    upper = _upper_cutoff(beta, t_max)
     tol = 1e-11 * max(1.0, om)
-    pieces = [_quad(wG, float(a), float(b), tol, "shape_curve")
-              for a, b in zip(ts[:-1], ts[1:])]
-    tail_G = _quad(wG, float(ts[-1]), upper, tol, "shape_curve")
-    suffix = np.concatenate((np.cumsum(pieces[::-1])[::-1] + tail_G,
-                             [tail_G]))
-    boundary = np.array([t ** beta * g(float(t)) for t in ts])
-    phis = np.maximum((suffix - boundary) / om, 0.0)
+    phis, suffix, err = _shape_values(e, beta, om, ts, tol, "shape_curve")
 
-    t1 = float(ts[0])
-    # int_0^t1 phi = (1/om)(int_0^t1 (v^{beta+1}G - v^beta g) dv
-    #                       + t1 * int_t1^inf v^beta G dv)
-    def w_om(v: float) -> float:
-        return v ** (beta + 1) * G(v) - v ** beta * g(v)
-
-    head_front = _front_piece(w_om, beta, v0) if v0 > 0.0 else 0.0
-    head = (head_front + _quad(w_om, v0, t1, tol, "shape_curve")
-            + t1 * float(suffix[0])) / om
-
-    # int_{t_max}^inf phi = (1/om) int_{t_max}^inf ((v - t_max) v^beta G
-    #                                               - v^beta g) dv
-    def w_tail(v: float) -> float:
-        return (v - t_max) * v ** beta * G(v) - v ** beta * g(v)
-
-    tail = _quad(w_tail, float(ts[-1]), upper, tol, "shape_curve") / om
-    check = head + float(np.trapezoid(phis, ts)) + tail
+    # int_0^t1 phi = (1/om)(int_0^t1 w_om dv + t1 * int_t1^inf v^beta G dv)
+    # int_{t_max}^inf phi = (1/om)(int_{t_max}^inf w_om dv
+    #                              - t_max * int_{t_max}^inf v^beta G dv)
+    w_om = _integrand(e, beta, "omega")
+    t1, upper = float(ts[0]), _upper_cutoff(beta, t_max)
+    (head,), (head_err,) = _integrate(w_om, [v0, t1], tol, "shape_curve")
+    (tail,), (tail_err,) = _integrate(w_om, [t_max, upper], tol, "shape_curve")
+    if v0 > 0.0:
+        head += _front_piece(w_om, beta, v0)
+    check = ((head + t1 * suffix[0]) + (tail - t_max * suffix[-1])) / om
+    check += float(np.trapezoid(phis, ts))
 
     if phi_at_zero_divergent(e):
         phi0 = math.inf
@@ -311,7 +351,8 @@ def shape_curve(e: Ensemble, t_max: float = 5.0,
             # tolerance at t = 0 without affecting the rest of the curve
             phi0 = math.nan
     return ShapeCurve(ts=ts, phis=phis, omega=om, beta=beta,
-                      phi_at_zero=phi0, integral_check=check)
+                      phi_at_zero=phi0, integral_check=float(check),
+                      error_estimate=float(err + head_err + tail_err))
 
 
 def symmetric_rescale(phi, omega_value: float):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .asymptotics import limit_shape, solve_tilt
 from .ensemble import Ensemble, Regime
@@ -178,7 +178,7 @@ def predict_concentration(e: Ensemble, n: int, grid=None,
         return np.concatenate((np.cumsum(terms[::-1])[::-1], [0.0]))
 
     mean_d, var_d, cov_dn = above(mean_r), above(var_r), above(kf * var_r)
-    shape = tuple(limit_shape(e, t) for t in grid)
+    shape = tuple(limit_shape(e, np.array(grid)).tolist())
     scale = alpha / n
     centres, spreads, hits = [], [], []
     for t, phi in zip(grid, shape):
@@ -189,8 +189,8 @@ def predict_concentration(e: Ensemble, n: int, grid=None,
         lo = math.floor((phi - epsilon) / scale) + 1
         hi = math.ceil((phi + epsilon) / scale) - 1
         if sd > 0.0:
-            p = float(stats.norm.cdf((hi + 0.5 - mu) / sd)
-                      - stats.norm.cdf((lo - 0.5 - mu) / sd))
+            p = float(special.ndtr((hi + 0.5 - mu) / sd)
+                      - special.ndtr((lo - 0.5 - mu) / sd))
         else:
             p = float(lo - 0.5 < mu < hi + 0.5)
         centres.append(scale * float(mean_d[j]))
@@ -273,25 +273,19 @@ class ConcentrationReport:
                 fh.write(f"{i},{d:.17g}\n")
 
 
-def _local_spacing(grid: tuple[float, ...]) -> list[float]:
-    if len(grid) < 2:
-        return [0.0] * len(grid)
-    out = []
-    for i, t in enumerate(grid):
-        gaps = []
-        if i > 0:
-            gaps.append(t - grid[i - 1])
-        if i + 1 < len(grid):
-            gaps.append(grid[i + 1] - t)
-        out.append(max(gaps))
-    return out
-
-
-def _shape_slope(e: Ensemble, t: float) -> float:
-    h = max(1e-4, 1e-3 * t)
-    h = min(h, 0.5 * t) if t > 0 else h
-    lo = max(t - h, 1e-9)
-    return (limit_shape(e, t + h) - limit_shape(e, lo)) / (t + h - lo)
+def _steep_points(e: Ensemble, grid: tuple[float, ...],
+                  epsilon: float) -> tuple[float, ...]:
+    """Grid points where phi moves by epsilon/4 or more over the wider gap
+    to a neighbour, by central differences from one limit_shape call."""
+    t = np.array(grid)
+    gaps = np.diff(t)
+    spacing = np.maximum(np.append(gaps, 0.0), np.insert(gaps, 0, 0.0))
+    h = np.minimum(np.maximum(1e-4, 1e-3 * t), 0.5 * t)
+    lo = np.maximum(t - h, 1e-9)
+    phi = limit_shape(e, np.concatenate((t + h, lo)))
+    slope = (phi[:t.size] - phi[t.size:]) / (t + h - lo)
+    steep = (spacing > 0) & (np.abs(slope) * spacing >= epsilon / 4.0)
+    return tuple(t[steep].tolist())
 
 
 def diagram_deviations(parts, alpha: float, n: int, grid,
@@ -325,9 +319,7 @@ def concentration_experiment(e: Ensemble, n: int, replicas: int,
         raise ParamError("need at least one replica")
 
     pred = predict_concentration(e, n, grid, epsilon)
-    steep = tuple(
-        t for t, spacing in zip(grid, _local_spacing(grid))
-        if spacing > 0 and abs(_shape_slope(e, t)) * spacing >= epsilon / 4.0)
+    steep = _steep_points(e, grid, epsilon)
 
     parts = sample_small_many(e, n, replicas, seed, mode=mode,
                               budget=budget)

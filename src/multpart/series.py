@@ -134,13 +134,13 @@ class SeriesFunction:
         """
         raise NotImplementedError
 
-    def log_eval_bundle(self, v: float) -> tuple[float, float, float]:
-        """(h, h', h'') at u = exp(-v), computed stably for small v.
+    def log_eval_bundles(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(h, h', h'') at u = exp(-v) for every point of the array v.
 
-        Closed-form kinds override this so that quadrature integrands keep
-        full relative precision as u -> 1.
+        The closed-form kinds keep full relative precision as u -> 1, so
+        quadrature integrands stay accurate down to v = 0.
         """
-        return self.eval_with_derivatives(math.exp(-v))[1:]
+        raise NotImplementedError
 
     def h_vector(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized (h(u), h'(u)) for moment sums.
@@ -232,14 +232,15 @@ class GeometricSeries(SeriesFunction):
         h = y / d
         return f, h, y * h / d, 2.0 * y * y * h / (d * d)
 
-    def log_eval_bundle(self, v):
+    def log_eval_bundles(self, v):
         y = self._y
         if y == 1.0:
-            d = -math.expm1(-v)          # 1 - e^{-v} at full relative precision
+            d = -np.expm1(-v)          # 1 - e^{-v} at full relative precision
         else:
-            d = 1.0 - y * math.exp(-v)
-        if d <= 0.0:
-            raise DomainError(f"log-scale evaluation at v={v} outside the disc")
+            d = 1.0 - y * np.exp(-v)
+        if np.any(d <= 0.0):
+            raise DomainError(
+                f"log-scale evaluation at v={np.min(v)} outside the disc")
         h = y / d
         return h, y * h / d, 2.0 * y * y * h / (d * d)
 
@@ -305,8 +306,8 @@ class ExponentialSeries(SeriesFunction):
         self._check_domain(u, truncated=False)
         return math.exp(self._c * u), self._c, 0.0, 0.0
 
-    def log_eval_bundle(self, v):
-        return self._c, 0.0, 0.0
+    def log_eval_bundles(self, v):
+        return np.full_like(v, self._c), np.zeros_like(v), np.zeros_like(v)
 
     def h_vector(self, u):
         return np.full_like(u, self._c), np.zeros_like(u)
@@ -355,6 +356,12 @@ def _term_rows(g: np.ndarray, m: int) -> np.ndarray:
     for k in (1, 2, 3):
         rows[:-1, k] = a * rows[1:, k - 1]
     return rows[:m]
+
+
+def _log_derivatives(f, d1, d2, d3):
+    """(h, h', h'') of h = f'/f from f and its first three derivatives."""
+    h = d1 / f
+    return h, d2 / f - h * h, d3 / f - 3.0 * (d2 / f) * h + 2.0 * h ** 3
 
 
 def _powers(u: np.ndarray, m: int) -> np.ndarray:
@@ -516,10 +523,10 @@ class CustomSeries(SeriesFunction):
 
     def eval_with_derivatives(self, u):
         f, d1, d2, d3 = self._power_sums(np.array([u]))[0].tolist()
-        h = d1 / f
-        hp = d2 / f - h * h
-        hpp = d3 / f - 3.0 * (d2 / f) * h + 2.0 * h ** 3
-        return f, h, hp, hpp
+        return (f,) + _log_derivatives(f, d1, d2, d3)
+
+    def log_eval_bundles(self, v):
+        return _log_derivatives(*self._power_sums(np.exp(-v)).T)
 
     def log_values(self, u):
         return np.log1p(self._power_sums(u, drop_constant=True)[:, 0])
@@ -623,8 +630,8 @@ class PowerSeriesFunction(SeriesFunction):
         f, h, hp, hpp = self.base.eval_with_derivatives(u)
         return f ** self._b, self._b * h, self._b * hp, self._b * hpp
 
-    def log_eval_bundle(self, v):
-        h, hp, hpp = self.base.log_eval_bundle(v)
+    def log_eval_bundles(self, v):
+        h, hp, hpp = self.base.log_eval_bundles(v)
         return self._b * h, self._b * hp, self._b * hpp
 
     def h_vector(self, u):

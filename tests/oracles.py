@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 
+import mpmath
 import numpy as np
 
 
@@ -155,6 +156,39 @@ def dilog_series(y: float, tol: float = 1e-15) -> float:
             return total
         if k > 10_000:
             raise RuntimeError("dilog series did not settle")
+
+
+def mp_shape_constants(h_mp, beta: float, ts, dps: int = 30):
+    """Omega, sigma^2 and phi(t) for t in ts by mpmath quadrature.
+
+    h_mp(u) gives (h, h', h'') of h = f'/f in mpmath. The integrals are
+    the defining ones, with u = e^-v, g = u h, G = u (h + u h') and
+    H = u (h + 3 u h' + u^2 h''):
+      Omega   = int_0^inf (v^(beta+1) G - v^beta g) dv,
+      sigma^2 = int_0^inf (v^(beta+2) H - 2 v^(beta+1) G) dv,
+      phi(t)  = (int_t^inf v^beta G dv - t^beta g(t)) / Omega.
+    """
+    with mpmath.workdps(dps):
+        b = mpmath.mpf(beta)
+
+        def gGH(v):
+            u = mpmath.exp(-v)
+            h, hp, hpp = h_mp(u)
+            return u * h, u * (h + u * hp), u * (h + 3 * u * hp + u * u * hpp)
+
+        def integral(fn, lo):
+            return mpmath.quad(fn, [lo, lo + 1, lo + 5, lo + 20, mpmath.inf])
+
+        om = integral(lambda v: v ** (b + 1) * gGH(v)[1]
+                      - v ** b * gGH(v)[0], 0)
+        sig = integral(lambda v: v ** (b + 2) * gGH(v)[2]
+                       - 2 * v ** (b + 1) * gGH(v)[1], 0)
+        phis = []
+        for t in ts:
+            t = mpmath.mpf(t)
+            tail = integral(lambda v: v ** b * gGH(v)[1], t)
+            phis.append(float((tail - t ** b * gGH(t)[0]) / om))
+        return float(om), float(sig), phis
 
 
 def central_diff(fn, x: float, h: float) -> float:

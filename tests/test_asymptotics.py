@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from multpart import (
@@ -9,6 +11,7 @@ from multpart import (
     DomainError,
     Ensemble,
     ParamError,
+    QuadratureError,
     RegimeError,
     Singularity,
     constant_weights,
@@ -23,7 +26,9 @@ from multpart import (
     symmetric_rescale,
 )
 
-from oracles import dilog_series
+from multpart import asymptotics
+
+from oracles import dilog_series, mp_shape_constants
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +147,8 @@ def test_shape_curve_uniform_audit():
     assert math.isinf(sc.phi_at_zero)
     assert sc.omega == pytest.approx(math.pi ** 2 / 6, abs=1e-8)
     assert sc.beta == 1.0
+    # 199 pieces, the shape's tail and the check's head and tail
+    assert 0.0 < sc.error_estimate <= 202 * 1e-11 * sc.omega
     rows = list(sc.rows())
     assert len(rows) == 200
     assert all(isinstance(t, float) and isinstance(p, float) for t, p in rows)
@@ -183,6 +190,130 @@ def test_symmetric_rescale_self_duality():
     for t in (0.3, 0.8, 1.5, 2.5):
         assert math.exp(-c * tilde(t)) + math.exp(-c * t) == pytest.approx(
             1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# against mpmath quadratures of the defining integrals
+
+
+def _mp_geometric(y):
+    return lambda u: (y / (1 - y * u), (y / (1 - y * u)) ** 2,
+                      2 * (y / (1 - y * u)) ** 3)
+
+
+def _mp_exponential(c):
+    return lambda u: (mpmath.mpf(c), 0, 0)
+
+
+def _mp_polynomial(coeffs):
+    def h_mp(u):
+        f, f1, f2, f3 = (sum(math.perm(j, d) * c * u ** (j - d)
+                             for j, c in enumerate(coeffs) if j >= d)
+                         for d in range(4))
+        h = f1 / f
+        return h, f2 / f - h * h, f3 / f - 3 * (f2 / f) * h + 2 * h ** 3
+    return h_mp
+
+
+def _double_pole():
+    return Ensemble(CustomSeries(lambda j: j + 1, radius=1.0,
+                                 singularity=Singularity("pole", 2.0)),
+                    constant_weights())
+
+
+# every ergodic catalog family (ewens is not) and the custom series of the
+# benchmark: (ensemble, h of f in mpmath, beta)
+MP_FAMILIES = {
+    "uniform": (lambda: make("uniform"), _mp_geometric(1), 1.0),
+    "weighted(0.5)": (lambda: make("weighted", y=0.5),
+                      _mp_geometric(mpmath.mpf("0.5")), 1.0),
+    "restricted(odds)": (lambda: make("restricted", parts="odds"),
+                         _mp_geometric(1), 1.0),
+    "gibbs(1,1)": (lambda: make("gibbs", theta=1, beta=1),
+                   _mp_exponential(1), 1.0),
+    "gibbs(2,0.5)": (lambda: make("gibbs", theta=2, beta=0.5),
+                     _mp_exponential(2), 0.5),
+    "gibbs(1,2)": (lambda: make("gibbs", theta=1, beta=2),
+                   _mp_exponential(1), 2.0),
+    "ordered_lists": (lambda: make("ordered_lists"), _mp_exponential(1), 1.0),
+    "strict": (lambda: Ensemble(CustomSeries([1, 1]), constant_weights()),
+               _mp_polynomial([1, 1]), 1.0),
+    "multiplicity<=3": (lambda: Ensemble(CustomSeries([1, 1, 1, 1]),
+                                         constant_weights()),
+                        _mp_polynomial([1, 1, 1, 1]), 1.0),
+    "double pole": (_double_pole,
+                    lambda u: (2 / (1 - u), 2 / (1 - u) ** 2, 4 / (1 - u) ** 3),
+                    1.0),
+}
+MP_GRID = (0.3, 1.0, 2.5)
+
+
+@pytest.mark.parametrize("name", sorted(MP_FAMILIES))
+def test_constants_and_shape_match_mpmath(name):
+    make_e, h_mp, beta = MP_FAMILIES[name]
+    om, sig, phis = mp_shape_constants(h_mp, beta, MP_GRID)
+    e = make_e()
+    assert abs(omega(e) - om) <= 1e-9
+    assert abs(sigma_sq(e) - sig) <= 1e-8
+    got = limit_shape(e, np.array(MP_GRID))
+    assert np.max(np.abs(got - phis)) <= 1e-10 * max(1.0, om) / om
+
+
+@pytest.mark.parametrize("name", ["uniform", "gibbs(2,0.5)", "gibbs(1,2)",
+                                  "strict", "double pole"])
+def test_limit_shape_array_matches_scalar_calls(name):
+    e = MP_FAMILIES[name][0]()
+    ts = np.array([[2.5, 0.05, 1.0], [0.3, 1.0, 7.0]])
+    got = limit_shape(e, ts)
+    assert got.shape == ts.shape
+    scalar = np.array([[limit_shape(e, float(t)) for t in row] for row in ts])
+    assert np.max(np.abs(got - scalar)) <= 1e-12
+    assert isinstance(limit_shape(e, 1.0), float)
+    assert limit_shape(e, np.array([])).shape == (0,)
+
+
+def test_limit_shape_array_domain_errors():
+    u = make("uniform")
+    with pytest.raises(DomainError):
+        limit_shape(u, np.array([0.5, -0.1, 1.0]))
+    with pytest.raises(DomainError):
+        limit_shape(u, np.array([0.5, 0.0, 1.0]))
+    with pytest.raises(DomainError):
+        limit_shape(u, np.array([0.5, math.nan]))
+    # phi(0) is finite here, so t = 0 is accepted inside an array too
+    got = limit_shape(make("gibbs", theta=1, beta=1), np.array([0.0, 1.0]))
+    assert got == pytest.approx([1.0, math.exp(-1.0)], abs=1e-10)
+
+
+def test_power_sums_calls_per_curve(monkeypatch):
+    calls = []
+    power_sums = CustomSeries._power_sums
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return power_sums(self, *args, **kwargs)
+
+    monkeypatch.setattr(CustomSeries, "_power_sums", counted)
+    e = Ensemble(CustomSeries([1, 1]), constant_weights())
+    omega(e), sigma_sq(e), shape_curve(e)
+    # one call per quadrature round, not per node
+    assert len(calls) <= 60
+
+
+def test_quadrature_raises_at_the_interval_cap():
+    with pytest.raises(QuadratureError,
+                       match=r"estimate .* above the tolerance 1\.00e-09 "
+                             r"at 300 intervals"):
+        asymptotics._integrate(lambda v: 1.0 / v, [0.0, 1.0], 1e-9, "test")
+
+
+def test_quadrature_raises_when_the_integrand_fails():
+    # the truncated series refuses evaluation below v of about 1e-3
+    with pytest.raises(QuadratureError, match="integrand evaluation failed"):
+        limit_shape(_double_pole(), 1e-4)
+    with pytest.raises(QuadratureError, match="not finite"):
+        asymptotics._integrate(lambda v: np.where(v < 0.5, 1.0, np.inf),
+                               [0.0, 1.0], 1e-9, "test")
 
 
 # ---------------------------------------------------------------------------

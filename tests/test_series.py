@@ -26,6 +26,25 @@ def test_exponential_bundle():
     assert (h, hp, hpp) == (1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("sf", [
+    GeometricSeries(1), GeometricSeries(0.3), ExponentialSeries(2),
+    GeometricSeries(1) ** 0.5, CustomSeries([1, 1]),
+    CustomSeries(lambda j: j + 1, radius=1)], ids=repr)
+def test_log_eval_bundles_match_scalar_evaluation(sf):
+    v = np.array([2.0, 0.01, 0.5, 5.0])
+    got = np.column_stack(sf.log_eval_bundles(v))
+    want = np.array([sf.eval_with_derivatives(math.exp(-x))[1:] for x in v])
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_log_eval_bundles_refuse_points_outside_the_disc():
+    with pytest.raises(DomainError):
+        GeometricSeries(2).log_eval_bundles(np.array([1.0, 0.1]))
+    with pytest.raises(DomainError):
+        CustomSeries(lambda j: j + 1, radius=1).log_eval_bundles(
+            np.array([1.0, 1e-4]))
+
+
 @pytest.mark.parametrize("sf", [GeometricSeries(1), GeometricSeries(0.3),
                                 ExponentialSeries(2),
                                 CustomSeries([1, 3, 1])])
