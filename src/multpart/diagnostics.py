@@ -421,18 +421,6 @@ class DegenerateShapeReport:
         }
 
 
-def _weights_bounded_below(e: Ensemble) -> bool:
-    """True when inf_k b_k > 0 can be read off the weight rule."""
-    w = e.weights
-    if w.rule == "constant":
-        return True
-    if w.rule == "power_law":
-        return float(w.beta_param) >= 1.0
-    if w.rule == "monomial":
-        return float(w.power) >= 0.0
-    return False  # indicator and explicit rules have zeros or an end
-
-
 def degenerate_shape_probe(e: Ensemble, n: int, replicas: int, seed: int = 0,
                            table: CoefficientTable | None = None,
                            ) -> DegenerateShapeReport:
@@ -451,4 +439,4 @@ def degenerate_shape_probe(e: Ensemble, n: int, replicas: int, seed: int = 0,
     return DegenerateShapeReport(
         n=n, replicas=replicas, seed=seed, mean=float(vals.mean()),
         quantiles=qs, values=tuple(float(v) for v in vals),
-        conjectural=not _weights_bounded_below(e))
+        conjectural=not e.weights.bounded_below)

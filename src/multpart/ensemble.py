@@ -284,18 +284,18 @@ class WeightSequence:
     def b_1(self) -> float:
         return self.value(1)
 
-    # -- cumulative sums ---------------------------------------------------
-
-    def prefix_sum(self, k: int) -> float:
-        """B_k = sum_{j<=k} b_j."""
-        if k <= 0:
-            return 0.0
-        s = float(self.scale)
+    @property
+    def bounded_below(self) -> bool:
+        """True when inf_k b_k > 0 can be read off the rule."""
         if self.rule == "constant":
-            return s * k
+            return True
         if self.rule == "power_law":
-            return s * float(self.theta_param) * float(k) ** float(self.beta_param)
-        return float(self._prefix_array(k)[k]) * 1.0
+            return float(self.beta_param) >= 1.0
+        if self.rule == "monomial":
+            return float(self.power) >= 0.0
+        return False  # indicator and explicit rules have zeros or an end
+
+    # -- cumulative sums ---------------------------------------------------
 
     def _prefix_array(self, k_max: int) -> np.ndarray:
         """Cached [B_0, B_1, ..., B_k] for rules without a closed form."""

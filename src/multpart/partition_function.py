@@ -1,24 +1,26 @@
 """Taylor coefficients of the weighted-count product and their point masses.
 
 The normalizing function F(x) = prod_k f(x^k)^{b_k} = sum_n a_n x^n is
-reached three ways:
+summed, tabulated and turned into point masses:
 
-* product route: log F(x) summed directly from the factors with a
-  certified truncation bound;
-* coefficient tables: a_0..a_N built factor by factor, exactly (big
-  integers / rationals) whenever the ensemble data are rational, in
-  extended-precision floats otherwise;
-* point masses: p_m = a_m x^m / F(x) from the Euler-transform
+* log F(x) is summed directly from the factors, with a certified
+  truncation bound;
+* coefficients tabulates a_0..a_N with one builder for both arithmetics:
+  exact (integers, unscaled to ints/Fractions at the end) whenever the
+  ensemble data are rational, extended-precision floats otherwise. An
+  exponential series fills the table by the log-derivative recurrence
+  m a_m = sum_i d_i a_{m-i}; a geometric series with integer b_k <= 64
+  takes b_k scans of 1/(1 - y x^k); every other factor is a stride
+  convolution with the power series of f^{b_k};
+* point masses p_m = a_m x^m / F(x) come from the Euler-transform
   (log-derivative) recurrence m p_m = sum_{i<=m} c_i p_{m-i}, where
   c_i = x^i sum_{k|i} k b_k nu_{i/k} and nu_j = j [z^j] log f. It starts
-  from p_0 = 1/F(x) off the product route.
+  from p_0 = 1/F(x) off the product sum.
 
 point_mass and local_limit_probe take their masses from the recurrence
 alone, so no table bounds how far they reach. Only where some c_i < 0
 (a series whose logarithm has negative coefficients) are the masses read
 from a coefficient table that reaches the largest m asked for.
-Exponential-series ensembles (gibbs, ordered lists, Ewens) build their
-exact tables through the same recurrence, in integers.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 from .asymptotics import solve_tilt
 from .ensemble import Ensemble
 from .errors import ConvergenceError, ParamError, RegimeError, TableError
-from .series import ExponentialSeries, GeometricSeries, power_coefficients
+from .series import (ExponentialSeries, GeometricSeries, _maybe_int,
+                     power_coefficients)
 
 __all__ = [
     "CoefficientTable",
@@ -157,8 +160,9 @@ def log_partition_value(e: Ensemble, x: float,
 class CoefficientTable:
     """a_0..a_{n_max} plus, optionally, tilted per-prefix rows.
 
-    values holds the coefficients themselves: Python ints/Fractions in an
-    object array when exact, extended-precision floats otherwise.
+    values holds the coefficients themselves, from the one builder in
+    either arithmetic: Python ints/Fractions in an object array when
+    exact, extended-precision floats otherwise.
 
     prefix[k][m] = T_k(m) * x0**m where T_k collects the factors for part
     sizes <= k; rows for inert sizes (b_k = 0) share the previous row's
@@ -191,36 +195,26 @@ class CoefficientTable:
         return float(np.log(a))
 
 
-def _scan_unit(a: np.ndarray, k: int) -> None:
-    """In place a[m] += a[m-k] for ascending m: one 1/(1-x^k) factor.
+def _scan(a: np.ndarray, k: int, mult) -> None:
+    """In place a[m] += mult * a[m-k] for ascending m: one 1/(1 - mult x^k)
+    factor.
 
-    The reshape view turns the per-residue running sums into a single
-    accumulate call; the ragged tail is one vector add whose sources are
-    already final.
+    Each step adds the finished row below it, k entries at once. With
+    mult == 1 the reshape view turns the per-residue running sums into one
+    accumulate call, and the ragged tail is one add whose sources are final.
     """
     n1 = a.shape[0]
-    rows = n1 // k
-    if rows > 1:
-        body = a[:rows * k].reshape(rows, k)
-        np.add.accumulate(body, axis=0, out=body)
-    lo = rows * k
-    if lo < n1 and k < n1:
-        a[lo:] += a[lo - k:n1 - k]
-
-
-def _scan_weighted(a: np.ndarray, k: int, mult) -> None:
-    """In place a[m] += mult * a[m-k], ascending: one 1/(1-mult x^k) factor.
-
-    Doubling passes: after pass t the array holds sums over j < 2^t of
-    mult^j shifts, so log2(n/k)+1 vectorized passes finish the scan.
-    """
-    n1 = a.shape[0]
-    step = k
-    m = mult
-    while step < n1:
-        a[step:] = a[step:] + m * a[:-step]
-        m = m * m
-        step *= 2
+    if mult == 1:
+        rows = n1 // k
+        if rows > 1:
+            body = a[:rows * k].reshape(rows, k)
+            np.add.accumulate(body, axis=0, out=body)
+        lo = rows * k
+        if lo < n1:
+            a[lo:] += a[lo - k:n1 - k]
+        return
+    for lo in range(k, n1, k):
+        a[lo:lo + k] += mult * a[lo - k:min(lo, n1 - k)]
 
 
 def _convolve_stride(a: np.ndarray, k: int, w) -> None:
@@ -235,124 +229,73 @@ def _convolve_stride(a: np.ndarray, k: int, w) -> None:
             a[off:] += w[j] * prev[:n1 - off]
 
 
-def _exact_factor_exponents(e: Ensemble, n_max: int):
-    for k in range(1, n_max + 1):
-        b = e.weights.exact_value(k)
-        if b is None:
-            raise TableError(
-                f"weight b_{k} is not exactly representable; use float mode")
-        if b != 0:
-            yield k, b
+def _build(e: Ensemble, n_max: int, exact: bool) -> np.ndarray:
+    """a_0..a_{n_max}: Python ints/Fractions when exact, long doubles otherwise.
 
-
-def _exponential_recurrence(a: np.ndarray, d: np.ndarray, divide) -> None:
-    """Fill a[1:] from a[0] by m a_m = sum_{i<=m} d_i a_{m-i}.
-
-    The log-derivative form of F = exp(sum_i d_i z^i / i); divide(s, m)
-    is s / m in the array's arithmetic.
+    An exponential series gives F = exp(sum_i d_i z^i / i), d_i = i c b_i,
+    filled by m a_m = sum_{i<=m} d_i a_{m-i}. Other series go factor by
+    factor: b_k scans of 1/(1 - y x^k) for a geometric series with integer
+    b_k <= 64, a stride convolution with f(x^k)^{b_k} otherwise. Exact
+    tables run on integers: the array holds s r^m a_m, where r is the
+    denominator q of y = p/q, or, with s = n_max!, the common denominator
+    D of the d_i. The last step divides the scaling out.
     """
-    n_max = a.shape[0] - 1
-    # rev[t] = d[n_max - t], so each step is one contiguous dot
-    rev = d[n_max:0:-1].copy()
-    for m in range(1, n_max + 1):
-        a[m] = divide(np.dot(a[:m], rev[n_max - m:]), m)
-
-
-def _build_exact_exponential(e: Ensemble, n_max: int) -> np.ndarray:
-    """a_0..a_{n_max} for F = exp(c sum_k b_k z^k), in integers.
-
-    m a_m = sum_i d_i a_{m-i} with d_i = i c b_i. With D the common
-    denominator of the d_i, Y_m = N! D^m a_m (N = n_max) is an integer and
-    m Y_m = sum_i d_i D^i Y_{m-i}, one exact division per m.
-    """
-    c = e.series.exact_coefficient(1)
-    d = [Fraction(0)] * (n_max + 1)
-    for k, b in _exact_factor_exponents(e, n_max):
-        d[k] = k * c * b
-    den = math.lcm(*(q.denominator for q in d))
-    scaled = np.empty(n_max + 1, dtype=object)
-    power = 1
-    for i in range(n_max + 1):
-        scaled[i] = int(d[i] * power)
-        power *= den
-    y = np.empty(n_max + 1, dtype=object)
-    y[0] = math.factorial(n_max)
-    _exponential_recurrence(y, scaled, lambda s, m: int(s) // m)
-    a = np.empty(n_max + 1, dtype=object)
-    scale = y[0]
-    for m in range(n_max + 1):
-        q = Fraction(y[m], scale)
-        a[m] = q.numerator if q.denominator == 1 else q
-        scale *= den
-    return a
-
-
-def _build_exact(e: Ensemble, n_max: int) -> np.ndarray:
     series = e.series
+    if exact:
+        bs = [e.weights.exact_value(k) for k in range(1, n_max + 1)]
+        if None in bs:
+            raise TableError(f"weight b_{bs.index(None) + 1} is not exactly "
+                             "representable; use float mode")
+    else:
+        bs = e.weights.values(np.arange(1, n_max + 1)).tolist()
+    factors = [(k, b) for k, b in enumerate(bs, 1) if b != 0]
+    a = np.zeros(n_max + 1, dtype=object if exact else np.longdouble)
+    s = r = 1
     if isinstance(series, ExponentialSeries):
-        return _build_exact_exponential(e, n_max)
-    # a holds q^m a_m, with q the denominator of the geometric weight y,
-    # so that the scans run on integers
-    a = np.empty(n_max + 1, dtype=object)
-    a[:] = 0
-    a[0] = 1
-    geometric = isinstance(series, GeometricSeries)
-    y = series.exact_coefficient(1) if geometric else Fraction(1)
-    q = y.denominator
-    for k, b in _exact_factor_exponents(e, n_max):
-        reps = int(b) if b.denominator == 1 and 1 <= b <= 64 else None
-        if geometric and reps is not None:
-            yv = y.numerator * q ** (k - 1)
-            for _ in range(reps):
-                if yv == 1:
-                    _scan_unit(a, k)
-                else:
-                    _scan_weighted(a, k, yv)
-        else:
+        rate = series.exact_coefficient(1) if exact else float(series.rate)
+        d = [0] * (n_max + 1)
+        for k, b in factors:
+            d[k] = k * b * rate
+        if exact:
+            r, s = math.lcm(*(di.denominator for di in d)), math.factorial(n_max)
+            d = [int(di * r ** i) for i, di in enumerate(d)]
+        a[0] = s
+        # rev[t] = d_{n_max - t}, so each step is one contiguous dot
+        rev = np.array(d[:0:-1], dtype=a.dtype)
+        for m in range(1, n_max + 1):
+            t = np.dot(a[:m], rev[n_max - m:])
+            a[m] = t // m if exact else t / m
+    else:
+        a[0] = 1
+        geometric = isinstance(series, GeometricSeries)
+        if geometric:
+            y = (series.exact_coefficient(1) if exact
+                 else np.longdouble(series.coefficient(1)))
+            r = y.denominator if exact else 1
+        for k, b in factors:
+            reps = b.numerator if exact else round(b)
+            whole = b.denominator == 1 if exact else abs(b - reps) < 1e-12
+            if geometric and whole and 1 <= b <= 64:
+                # y r^k = p q^(k-1): an int multiplier keeps the scan fast
+                mult = y.numerator * r ** (k - 1) if exact else y
+                for _ in range(reps):
+                    _scan(a, k, mult)
+                continue
             w = power_coefficients(series, b, n_max // k)
-            if any(isinstance(wj, float) for wj in w):
+            if exact and any(isinstance(wj, float) for wj in w):
                 raise TableError("series coefficients are not exactly "
                                  "representable; use float mode")
-            if q > 1:
-                w = [wj * q ** (k * j) for j, wj in enumerate(w)]
-            _convolve_stride(a, k, w)
-    if q > 1:
+            _convolve_stride(a, k, np.array(
+                [wj * r ** (k * j) for j, wj in enumerate(w)], dtype=a.dtype))
+    if not exact:
+        if not np.isfinite(a).all():
+            raise TableError(
+                "float coefficients overflowed extended precision; "
+                "reduce n_max or use a rational ensemble for exact mode")
+    elif s != 1 or r != 1:
         for m in range(n_max + 1):
-            v = Fraction(a[m], q ** m)
-            a[m] = v.numerator if v.denominator == 1 else v
-    return a
-
-
-def _build_float(e: Ensemble, n_max: int) -> np.ndarray:
-    a = np.zeros(n_max + 1, dtype=np.longdouble)
-    a[0] = 1.0
-    series = e.series
-    ks = np.arange(1, n_max + 1)
-    bs = e.weights.values(ks)
-    if isinstance(series, ExponentialSeries):
-        d = np.concatenate(([0.0], ks * bs * float(series.rate)))
-        _exponential_recurrence(a, d.astype(np.longdouble), lambda s, m: s / m)
-    else:
-        geometric = isinstance(series, GeometricSeries)
-        for k, b in zip(ks.tolist(), bs.tolist()):
-            if b == 0.0:
-                continue
-            reps = int(round(b)) if abs(b - round(b)) < 1e-12 and 1 <= b <= 64 else None
-            if geometric and reps is not None:
-                yv = np.longdouble(series.coefficient(1))
-                for _ in range(reps):
-                    if yv == 1.0:
-                        _scan_unit(a, k)
-                    else:
-                        _scan_weighted(a, k, yv)
-            else:
-                w = np.asarray(power_coefficients(series, b, n_max // k),
-                               dtype=np.longdouble)
-                _convolve_stride(a, k, w)
-    if not np.isfinite(a).all():
-        raise TableError(
-            "float coefficients overflowed extended precision; "
-            "reduce n_max or use a rational ensemble for exact mode")
+            a[m] = _maybe_int(Fraction(a[m], s))
+            s *= r
     return a
 
 
@@ -414,9 +357,11 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
 
     mode: "auto" picks exact arithmetic when the ensemble is rational,
     extended floats otherwise or when a coefficient read turns out inexact;
-    "exact"/"float" force a route. Exact tables of exponential-series
-    ensembles come from the integer Euler-transform recurrence; every other
-    table is built factor by factor.
+    "exact"/"float" force the arithmetic. Both run the same builder: the
+    log-derivative recurrence for an exponential series, scans for
+    geometric factors with integer b_k <= 64, stride convolutions for every
+    other factor. Only the array type, the integer scalings of the exact
+    tables and the last step (unscale, or the overflow check) differ.
 
     keep_prefix also retains the tilted per-prefix rows (memory grows
     quadratically: capped at n_max = 5000). x0 overrides the tilt, which
@@ -431,11 +376,11 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
         raise ParamError("exact mode needs rational series and weights")
 
     try:
-        values = _build_exact(e, n_max) if exact else _build_float(e, n_max)
+        values = _build(e, n_max, exact)
     except TableError:  # a rule judged rational by g_1 turned inexact later
         if mode != "auto" or not exact:
             raise
-        exact, values = False, _build_float(e, n_max)
+        exact, values = False, _build(e, n_max, False)
     if values[0] != 1:
         raise TableError("a_0 != 1: factor normalization broken")
     if exact and e.weights.b_1 > 0 and any(v <= 0 for v in values[1:].tolist()):

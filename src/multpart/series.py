@@ -663,7 +663,9 @@ def power_coefficients(f: SeriesFunction, b: Number, j_max: int) -> list:
     otherwise.
 
     Raises NegativeCoefficientError when a genuinely negative coefficient
-    appears: f**b is then not an admissible count generating function.
+    appears: f**b is then not an admissible count generating function. In
+    exact arithmetic that is any negative one; in floats one below -1e-9
+    of the largest so far, and smaller negatives are rounding, clamped to 0.
     """
     if j_max < 0:
         raise ParamError("j_max must be >= 0")
@@ -679,40 +681,25 @@ def power_coefficients(f: SeriesFunction, b: Number, j_max: int) -> list:
         g = [f.exact_coefficient(i) for i in range(j_max + 1)]
         if any(gi is None for gi in g):
             g = None  # a rule that turns inexact past the coefficients judged
+    exact = g is not None
+    if not exact:
+        g = [f.coefficient(i) for i in range(j_max + 1)]
     if b_exact == 1:
-        if g is not None:
-            return [_maybe_int(gi) for gi in g]
-        return [f.coefficient(j) for j in range(j_max + 1)]
-    if g is not None:
-        bq = b_exact
-        c: list = [Fraction(1)]
-        for j in range(1, j_max + 1):
-            acc = Fraction(0)
-            for i in range(1, j + 1):
-                gi = g[i]
-                if gi:
-                    acc += (i * (bq + 1) - j) * gi * c[j - i]
-            cj = acc / j
-            if cj < 0:
-                raise NegativeCoefficientError(
-                    f"coefficient {j} of f**{b} is negative: {cj}")
-            c.append(cj)
-        return [_maybe_int(q) for q in c]
-
-    gf = [f.coefficient(i) for i in range(j_max + 1)]
-    bf = float(b)
-    cf = [1.0]
+        return [_maybe_int(gi) for gi in g] if exact else g
+    bp = b_exact + 1 if exact else float(b) + 1.0
+    zero = Fraction(0) if exact else 0.0
+    c: list = [zero + 1]
     scale = 1.0
     for j in range(1, j_max + 1):
-        acc = 0.0
+        acc = zero
         for i in range(1, j + 1):
-            gi = gf[i]
+            gi = g[i]
             if gi:
-                acc += (i * (bf + 1.0) - j) * gi * cf[j - i]
+                acc += (i * bp - j) * gi * c[j - i]
         cj = acc / j
         scale = max(scale, abs(cj))
-        if cj < -1e-9 * scale:
+        if cj < (0 if exact else -1e-9 * scale):
             raise NegativeCoefficientError(
                 f"coefficient {j} of f**{b} is negative: {cj}")
-        cf.append(max(cj, 0.0))
-    return cf
+        c.append(cj if exact else max(cj, 0.0))
+    return [_maybe_int(q) for q in c] if exact else c

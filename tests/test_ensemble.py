@@ -49,15 +49,15 @@ def test_part_set_density():
 
 
 def test_prefix_sum_examples():
-    assert constant_weights().prefix_sum(10) == 10
-    assert power_law_weights(1, 2).prefix_sum(4) == 16
-    assert indicator_weights("evens").prefix_sum(7) == 3
+    assert constant_weights().prefix_sums([10]).tolist() == [10]
+    assert power_law_weights(1, 2).prefix_sums([4]).tolist() == [16]
+    assert indicator_weights("evens").prefix_sums([7]).tolist() == [3]
 
 
 def test_power_law_prefix_exact_for_fractional_beta():
     w = power_law_weights(2.0, 1.5)
-    for k in (1, 7, 100):
-        assert w.prefix_sum(k) == pytest.approx(2.0 * k ** 1.5, rel=1e-14)
+    ks = np.array([1, 7, 100])
+    assert w.prefix_sums(ks) == pytest.approx(2.0 * ks ** 1.5, rel=1e-14)
 
 
 def test_weight_values():
@@ -88,6 +88,24 @@ def test_explicit_rationality_reads_every_value():
     assert explicit_weights([1, 1, 2.0]).is_rational
 
 
+@pytest.mark.parametrize("w,bounded", [
+    (constant_weights(), True),
+    (indicator_weights("evens"), False),
+    (power_law_weights(1, 1), True),
+    (power_law_weights(2, 1.5), True),
+    (power_law_weights(1, 0.5), False),
+    (monomial_weights(2, 0), True),
+    (monomial_weights(1, 1), True),
+    (monomial_weights(1, -1), False),
+    (explicit_weights([1, 2, 3]), False),
+])
+def test_bounded_below_per_rule(w, bounded):
+    assert w.bounded_below is bounded
+    if bounded:  # the rule's infimum is b_1 > 0
+        ks = np.arange(1, 2000)
+        assert w.values(ks).min() == pytest.approx(w.b_1)
+
+
 def test_declared_fields_stored():
     w = explicit_weights([1.5, 1.0, 0.5], declared_beta=1.0,
                          declared_theta=1.0)
@@ -98,7 +116,7 @@ def test_declared_fields_stored():
 def test_scaled_weights():
     w = power_law_weights(1, 2).scaled(0.5)
     assert w.value(2) == pytest.approx(1.5)
-    assert w.prefix_sum(4) == pytest.approx(8.0)
+    assert w.prefix_sums([4])[0] == pytest.approx(8.0)
 
 
 # every rule, power laws on both sides of beta = 1, monomials with p < 0,

@@ -9,6 +9,7 @@ import pytest
 from multpart import (
     CustomSeries,
     Ensemble,
+    ExponentialSeries,
     GeometricSeries,
     Singularity,
     RngStream,
@@ -22,6 +23,7 @@ from multpart import (
     local_limit_probe,
     log_partition_value,
     make,
+    monomial_weights,
     partition_numbers,
     point_mass,
     power_law_weights,
@@ -121,6 +123,51 @@ def test_tables_match_product_oracle():
     assert list(coefficients(ol, 40, mode="exact").values) == want
     for a, b in zip(coefficients(ol, 40, mode="float").values, want):
         assert float(a) == pytest.approx(float(b), rel=1e-12)
+
+
+def _power_factor(k: int, b: int, n_max: int) -> list:
+    """Coefficients of 1/(1 - x^k)^b up to x^n_max."""
+    out = [0] * (n_max + 1)
+    for j in range(0, n_max // k + 1):
+        out[k * j] = math.comb(b + j - 1, j)
+    return out
+
+
+# one case per branch of the table builder: the unit scan, the weighted
+# scan (integer y and y = p/q with q > 1), repeated scans for b_k <= 64
+# followed by convolution past 64, convolution on a custom series, and
+# the exponential recurrence with a non-integer rate
+BUILDER_CASES = {
+    "unit scan": (make("uniform"), 60,
+                  lambda k, n: geometric_factor(k, 1, n)),
+    "weighted scan y=2": (make("weighted", y=2), 60,
+                          lambda k, n: geometric_factor(k, 2, n)),
+    "weighted scan y=2/3": (make("weighted", y=Fraction(2, 3)), 40,
+                            lambda k, n: geometric_factor(k, Fraction(2, 3), n)),
+    "repeated scans then convolve": (
+        Ensemble(GeometricSeries(1), monomial_weights(1, 1)), 72,
+        lambda k, n: _power_factor(k, k, n)),
+    "convolve custom": (Ensemble(CustomSeries([1, 1]), constant_weights()), 60,
+                        lambda k, n: [1 if m in (0, k) else 0
+                                      for m in range(n + 1)]),
+    "exponential recurrence": (
+        Ensemble(ExponentialSeries(Fraction(3, 2)), constant_weights()), 40,
+        lambda k, n: exp_factor(k, Fraction(3, 2), n)),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", sorted(BUILDER_CASES))
+def test_builder_branches_match_product_oracle(name, mode):
+    e, n, factor = BUILDER_CASES[name]
+    want = product_coefficients([factor(k, n) for k in range(1, n + 1)], n)
+    table = coefficients(e, n, mode=mode)
+    assert table.exact == (mode == "exact")
+    if mode == "exact":
+        assert list(table.values) == want
+    else:
+        for a, b in zip(table.values, want):
+            assert float(a) == pytest.approx(float(b), rel=1e-12)
 
 
 def test_float_route_matches_exact():
