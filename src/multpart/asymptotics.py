@@ -193,20 +193,20 @@ def _integrate(w, edges, abs_tol: float, what: str):
 def _growth_constant(e: Ensemble, name: str, tol: float,
                      shift: float) -> float:
     """Integral over (0, V) of the integrand `name`, ~ v^(beta+shift) at 0,
-    to absolute accuracy tol; memoised under its name."""
-    if name in e._memo:
-        return e._memo[name]
-    _require_ergodic(e, name)
-    beta = _growth_beta(e)
-    w = _integrand(e, beta, name)
-    v0 = _eval_floor(e)
-    front = _front_piece(w, beta + shift, v0) if v0 > 0.0 else 0.0
-    (val,), _ = _integrate(w, [v0, _upper_cutoff(beta)], tol, name)
-    val = float(front + val)
-    if val <= 0.0:
-        raise QuadratureError(f"{name} evaluated nonpositive ({val})")
-    e._memo[name] = val
-    return val
+    to absolute accuracy tol; computed once per ensemble (Ensemble.cached,
+    keyed by name)."""
+    def build() -> float:
+        _require_ergodic(e, name)
+        beta = _growth_beta(e)
+        w = _integrand(e, beta, name)
+        v0 = _eval_floor(e)
+        front = _front_piece(w, beta + shift, v0) if v0 > 0.0 else 0.0
+        (val,), _ = _integrate(w, [v0, _upper_cutoff(beta)], tol, name)
+        val = float(front + val)
+        if val <= 0.0:
+            raise QuadratureError(f"{name} evaluated nonpositive ({val})")
+        return val
+    return e.cached(name, build)
 
 
 def omega(e: Ensemble) -> float:
@@ -461,10 +461,12 @@ def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
     """
     if n < 1:
         raise ParamError(f"tilt target must be a positive integer, got {n}")
-    key = ("tilt", n, rel_tol)
-    if key in e._memo:
-        return e._memo[key]
+    return e.cached(("tilt", n, rel_tol),
+                    lambda: _newton_tilt(e, n, rel_tol, max_iter))
 
+
+def _newton_tilt(e: Ensemble, n: int, rel_tol: float,
+                 max_iter: int) -> TiltSolution:
     blocks: dict = {}
     lo, hi = _bracket(e, n, blocks)
     x = 0.5 * (lo + hi)
@@ -475,10 +477,8 @@ def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
         mean, var = e.mean_var(x, blocks)
         res = mean - n
         if abs(res) <= tol:
-            sol = TiltSolution(n=n, x_n=x, tau_n=1.0 - x, residual=abs(res),
-                               mean=mean, variance=var, iterations=it)
-            e._memo[key] = sol
-            return sol
+            return TiltSolution(n=n, x_n=x, tau_n=1.0 - x, residual=abs(res),
+                                mean=mean, variance=var, iterations=it)
         if res > 0.0:
             hi = x
         else:

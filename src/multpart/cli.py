@@ -42,7 +42,7 @@ def _exit_code(err: MultpartError) -> int:
         return 1
     if isinstance(err, (RegimeError, DomainError)):
         return 2
-    if isinstance(err, (BudgetExhausted, TailError)):
+    if isinstance(err, TailError):
         return 3
     return 4
 

@@ -36,6 +36,7 @@ _BLOCK = 4096
 _STOP_REL = 1e-14
 _MEAN = (1, False)  # (power of k, variance correction)
 _VAR = (2, True)
+_MEMO_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +144,8 @@ class WeightSequence:
 
     A scale factor multiplies every b_k (the f**b_1 normalization trade uses
     it). beta/theta describe B_k ~ theta * k^beta and may be declared
-    explicitly; otherwise they follow from the rule (or a log-log fit for
-    explicit lists, which may fail).
+    explicitly; otherwise they follow from the rule (explicit lists have
+    none).
     """
 
     def __init__(self, rule: str, *, part_set: PartSet | None = None,
@@ -474,6 +475,12 @@ class Ensemble:
     leaves the measure unchanged) is available through normalized() and is
     applied by the catalog where a family is conventionally presented
     unnormalized.
+
+    The ensemble remembers what it has computed once: its regime, Omega and
+    sigma^2, tilts, grand tables and count laws, all through cached(). At
+    most _MEMO_CAP entries are kept; past that the oldest is dropped, and
+    since every build is deterministic a dropped entry rebuilds to the same
+    value.
     """
 
     def __init__(self, series: SeriesFunction, weights: WeightSequence,
@@ -486,11 +493,17 @@ class Ensemble:
     def __repr__(self):
         return f"Ensemble({self.label})"
 
-    # -- structural properties --------------------------------------------
+    def cached(self, key, build: Callable):
+        """The value stored under key, else build() stored there (nothing is
+        stored when build raises); past _MEMO_CAP entries the oldest goes."""
+        if key in self._memo:
+            return self._memo[key]
+        val = self._memo[key] = build()
+        if len(self._memo) > _MEMO_CAP:
+            del self._memo[next(iter(self._memo))]
+        return val
 
-    @property
-    def rho1(self) -> float:
-        return self.series.radius
+    # -- structural properties --------------------------------------------
 
     @property
     def rho(self) -> float:
@@ -507,9 +520,7 @@ class Ensemble:
 
     @property
     def regime(self) -> Regime:
-        if "regime" not in self._memo:
-            self._memo["regime"] = classify_regime(self)
-        return self._memo["regime"]
+        return self.cached("regime", lambda: classify_regime(self))
 
     @property
     def is_rational(self) -> bool:
@@ -621,10 +632,6 @@ def classify_regime(e: Ensemble) -> Regime:
         # exist and the support misses some weights entirely.
         return Regime.OUT_OF_SCOPE
     beta = w.beta
-    if beta is None and w.rule == "explicit":
-        # closed rules report their growth (or its absence) exactly; only
-        # opaque lists warrant a fit
-        beta = _fitted_beta(w)
     if beta is None or beta <= 0.05:
         return Regime.OUT_OF_SCOPE
     rho1 = e.series.radius
@@ -639,20 +646,6 @@ def classify_regime(e: Ensemble) -> Regime:
     if sing.kind == "essential":
         return Regime.ESSENTIAL_SUBCRITICAL
     return Regime.OUT_OF_SCOPE
-
-
-def _fitted_beta(w: WeightSequence, k_max: int = 1 << 14) -> float | None:
-    ks = np.unique(np.geomspace(8, k_max, 24).astype(np.int64))
-    if w.support_end is not None:
-        ks = ks[ks <= w.support_end]
-    if len(ks) < 3:
-        return None
-    B = w.prefix_sums(ks)
-    good = B > 0
-    if good.sum() < 3:
-        return None
-    slope, _ = np.polyfit(np.log(ks[good]), np.log(B[good]), 1)
-    return float(slope)
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,6 @@ def _weighted_geometric_tail(e: Ensemble, x: float, k_from: int) -> float:
         geo_sum = (head - x ** (hi + 1)) / (1.0 - x)
         total += min(w.block_sum_upper(lo, hi) * head,
                      w.block_max_upper(lo, hi) * geo_sum)
-        if w.support_end is not None and hi >= w.support_end:
-            return total
         lo = hi
 
 

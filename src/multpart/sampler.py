@@ -428,12 +428,7 @@ class _GrandTable:
 
 
 def _grand_table(e: Ensemble, x: float) -> _GrandTable:
-    key = ("grand_table", x)
-    tbl = e._memo.get(key)
-    if tbl is None:
-        tbl = _GrandTable(e, x)
-        e._memo[key] = tbl
-    return tbl
+    return e.cached(("grand_table", x), lambda: _GrandTable(e, x))
 
 
 def _check_sampling_x(e: Ensemble, x: float) -> None:
@@ -450,10 +445,8 @@ def sample_count(e: Ensemble, k: int, x: float, rng: RngStream) -> int:
     if x == 0.0 or b == 0.0:
         return 0
     u = x ** k
-    key = ("count_law", float(b), u)
-    law = e._memo.get(key)
-    if law is None:
-        law = e._memo[key] = _count_law(e, np.array([b]), np.array([u]))
+    law = e.cached(("count_law", float(b), u),
+                   lambda: _count_law(e, np.array([b]), np.array([u])))
     return int(law.draw(rng.generator(), (1,))[0])
 
 

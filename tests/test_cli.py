@@ -267,6 +267,15 @@ def test_tilt_strict_partitions_from_yaml(tmp_path):
     assert abs(mean - n) <= 1e-9 * n
 
 
+def test_tilt_config_max_iter_reaches_the_generic_error_exit(tmp_path):
+    # a ConvergenceError is no Param/Regime/Domain/Tail error: exit 4
+    path = tmp_path / "short.yaml"
+    path.write_text("catalog: uniform\nnumerics:\n  tilt_max_iter: 1\n")
+    res = run_cli("tilt", "--ensemble", str(path), "--n", "1000")
+    assert res.exit_code == 4
+    assert "did not reach" in res.stderr
+
+
 def test_tilt_nonpositive_n_exits_1():
     res = run_cli("tilt", "--ensemble", "uniform", "--n", "0")
     assert res.exit_code == 1

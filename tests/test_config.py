@@ -61,6 +61,9 @@ def test_catalog_document_with_numerics():
     assert cfg.numerics.tilt_rel_tol == 1e-8
     assert cfg.numerics.budget == 500
     assert cfg.numerics.tilt_max_iter == 200
+    full = {"tilt_rel_tol": 1e-6, "tilt_max_iter": 7, "budget": 3}
+    cfg = parse_config({"catalog": "uniform", "numerics": full})
+    assert cfg.numerics == Numerics(**full)
 
 
 @pytest.mark.parametrize("doc,needle", [

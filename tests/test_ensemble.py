@@ -14,7 +14,9 @@ from multpart.ensemble import (Ensemble, PartSet, Regime, WeightSequence,
                                explicit_weights, indicator_weights,
                                monomial_weights, power_law_weights,
                                resonant_mask)
-from multpart.errors import DomainError, ParamError, RegimeError
+from multpart.errors import (ConvergenceError, DomainError, ParamError,
+                             RegimeError)
+from multpart.sampler import RngStream, sample_grand
 from multpart.series import CustomSeries, ExponentialSeries, GeometricSeries, Singularity
 
 from oracles import central_diff, direct_mean_var
@@ -292,6 +294,44 @@ def test_normalized_noop_and_failure():
     evens = Ensemble(GeometricSeries(1), indicator_weights("evens"))
     with pytest.raises(RegimeError):
         evens.normalized()
+
+
+# -- what an ensemble remembers ----------------------------------------------
+
+
+def test_memo_stays_bounded_and_evicted_entries_rebuild_identically():
+    e = make("uniform")
+    rng = RngStream(11, 2)
+    xs = [float(x) for x in np.linspace(0.5, 0.95, 100)]
+    first = solve_tilt(e, 100)
+    draw = sample_grand(e, xs[0], rng)
+    for n in range(101, 300):
+        solve_tilt(e, n)
+        assert len(e._memo) <= 64
+    for x in xs[1:]:
+        sample_grand(e, x, rng)
+        assert len(e._memo) <= 64
+    assert ("tilt", 100, 1e-10) not in e._memo
+    assert ("grand_table", xs[0]) not in e._memo
+    again = solve_tilt(e, 100)
+    assert again is not first and again == first
+    assert again.x_n.hex() == first.x_n.hex()
+    assert sample_grand(e, xs[0], rng) == draw
+
+
+def test_memo_stores_nothing_when_the_build_raises():
+    e = make("uniform")
+    with pytest.raises(ConvergenceError, match="did not reach"):
+        solve_tilt(e, 1000, max_iter=1)
+    assert ("tilt", 1000, 1e-10) not in e._memo
+
+    def fail():
+        raise ParamError("no value")
+
+    with pytest.raises(ParamError):
+        e.cached("key", fail)
+    assert "key" not in e._memo
+    assert solve_tilt(e, 1000).residual <= 1e-10 * 1000
 
 
 # -- regimes -----------------------------------------------------------------
