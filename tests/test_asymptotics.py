@@ -10,11 +10,13 @@ from multpart import (
     CustomSeries,
     DomainError,
     Ensemble,
+    GeometricSeries,
     ParamError,
     QuadratureError,
     RegimeError,
     Singularity,
     constant_weights,
+    explicit_weights,
     limit_shape,
     make,
     omega,
@@ -416,6 +418,19 @@ TILT_GOLDEN = {
         "0x1.0d348aeb5d29bp+21", 7),
     ("strict", 1000000): ("0x1.ff892f4a9cd78p-1", "0x1.e848000000213p+19",
         "0x1.06e4e50f0f6bfp+31", 7),
+    # the nonergodic "delta" guess and the generic probe of _bracket
+    ("weighted2", 100): ("0x1.fab69d24e9123p-2", "0x1.90000000001a0p+6",
+        "0x1.22a8c835f140bp+13", 6),
+    ("weighted2", 10000): ("0x1.fff2e36ec9c33p-2", "0x1.38800000034d7p+13",
+        "0x1.7d2d1cc24ef9ap+26", 6),
+    ("weighted2", 1000000): ("0x1.ffffde7209605p-2", "0x1.e8480000513cbp+19",
+        "0x1.d1a85f198a0fbp+39", 6),
+    ("explicit5", 100): ("0x1.e8afa73c13cc7p-1", "0x1.9000000001130p+6",
+        "0x1.1f302e1fd4af0p+11", 4),
+    ("explicit5", 10000): ("0x1.ffbe878a7d00ap-1", "0x1.388000000021cp+13",
+        "0x1.31a22d80004cep+24", 7),
+    ("explicit5", 1000000): ("0x1.ffff583ac1ac1p-1", "0x1.e84800000392cp+19",
+        "0x1.7488dcb5f173cp+37", 5),
 }
 
 TILT_FAMILIES = {
@@ -425,6 +440,8 @@ TILT_FAMILIES = {
     "gibbs11": lambda: make("gibbs", theta=1, beta=1),
     "gibbs205": lambda: make("gibbs", theta=2, beta=0.5),
     "strict": lambda: Ensemble(CustomSeries([1, 1]), constant_weights()),
+    "weighted2": lambda: make("weighted", y=2),
+    "explicit5": lambda: Ensemble(GeometricSeries(1), explicit_weights([1] * 5)),
 }
 
 
