@@ -391,9 +391,13 @@ class TiltSolution:
 def _bracket(e: Ensemble, n: int, blocks: dict) -> tuple[float, float]:
     """An (lo, hi) with mean_N(lo) < n < mean_N(hi), from regime asymptotics.
 
-    The guesses keep evaluation points away from the expensive extremes:
-    near 1 the mean costs O(1/(1-x)) terms, so the ergodic guess starts at
-    the predicted tau and widens geometrically only as far as needed.
+    The ergodic guess starts at the predicted tau and widens geometrically
+    only as far as needed. Near 1 a full mean costs O(1/(1-x)) terms, so
+    every probe passes stop_above=n: the upper probe, at 1 - tau/4, stops
+    once its running total passes n and walks about as many sizes as one
+    Newton step. A probe only compares the mean with n, and the partial sum
+    compares as the full one would (Ensemble.mean_N), so lo and hi do not
+    depend on the stop.
     """
     rho = e.rho
     regime = e.regime
@@ -419,7 +423,7 @@ def _bracket(e: Ensemble, n: int, blocks: dict) -> tuple[float, float]:
         lo_d, hi_d = 4.0 * d0, d0 / 4.0  # distances below the right end
         for _ in range(80):
             lo = rho - lo_d if kind == "delta" else 1.0 - lo_d
-            if lo <= 0.0 or e.mean_N(lo, blocks) < n:
+            if lo <= 0.0 or e.mean_N(lo, blocks, stop_above=n) < n:
                 break
             lo_d *= 4.0
         else:
@@ -429,7 +433,7 @@ def _bracket(e: Ensemble, n: int, blocks: dict) -> tuple[float, float]:
             hi = rho - hi_d if kind == "delta" else 1.0 - hi_d
             if hi >= rho:
                 hi = rho - (rho - lo) * 1e-12
-            if e.mean_N(hi, blocks) > n:
+            if e.mean_N(hi, blocks, stop_above=n) > n:
                 return lo, hi
             hi_d /= 4.0
         raise ConvergenceError("could not bracket the tilt from above")
@@ -438,7 +442,7 @@ def _bracket(e: Ensemble, n: int, blocks: dict) -> tuple[float, float]:
     lo = 0.0
     for i in range(1, 60):
         hi = rho * (1.0 - 0.5 ** i)
-        if e.mean_N(hi, blocks) > n:
+        if e.mean_N(hi, blocks, stop_above=n) > n:
             return lo, hi
         lo = hi
     raise ConvergenceError(

@@ -13,6 +13,12 @@ The sums walk the part sizes in blocks of 4096; mean_var takes both in one
 pass, once per Newton step of a tilt solve. A block's k-only arrays are built
 per call, or once per solve in a store that the solve drops on return.
 
+Every term is >= 0: b_k >= 0, and x^k h(x^k) = E_x R_k >= 0 because f has
+nonnegative coefficients. So a partial mean only grows toward the full one,
+and mean_N(x, stop_above=n) may stop walking once its running total passes
+n; a tilt bracket, which only asks whether the mean is below or above n,
+reads the same answer from far fewer blocks.
+
 Regularity of the cumulative weights B_k = sum_{j<=k} b_j (growth like
 theta * k^beta) is what the asymptotic layer relies on; the two condition
 checks at the bottom of this module probe it: a resonance/density check used
@@ -30,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, FitUnstable, ParamError, RegimeError
-from .series import Number, SeriesFunction, _as_exact
+from .series import ExponentialSeries, Number, SeriesFunction, _as_exact
 
 _BLOCK = 4096
 _STOP_REL = 1e-14
@@ -551,16 +557,25 @@ class Ensemble:
                 f"tilt x={x} outside [0, {self.rho}) for this ensemble")
 
     def _moment_sums(self, x: float, wants: tuple, k_min: int = 1,
-                     blocks: dict | None = None) -> list[float]:
+                     blocks: dict | None = None,
+                     stop_above: float = math.inf) -> list[float]:
         """sum_{k>=k_min} k^p b_k x^k h(x^k) (+ variance correction) for each
         (p, variance) wanted, in one walk over the size blocks; each sum stops
         by its own test. blocks keeps the k-only arrays for one tilt solve.
+
+        The walk returns early once the first total exceeds stop_above. Every
+        term is >= 0 and adding a float >= 0 never lowers a float sum, so the
+        full first total would exceed stop_above too.
         """
         totals = [0.0] * len(wants)
         if x == 0.0:
             return totals
         live = list(range(len(wants)))
         log_x = math.log(x)
+        # exponential f has h = rate and h' = 0: no per-point evaluation, and
+        # no h' term in the variance (x + 0.0 == x, so the bits stay)
+        rate = (float(self.series.rate)
+                if isinstance(self.series, ExponentialSeries) else None)
         end_support = self.weights.support_end
         start = k_min
         while live:
@@ -577,17 +592,21 @@ class Ensemble:
                     blocks[start] = blk
             kf, kpb, last = blk
             xk = np.exp(kf * log_x)
-            h, hp = self.series.h_vector(xk)
+            h, hp = ((rate, None) if rate is not None
+                     else self.series.h_vector(xk))
             for j in tuple(live):
                 power, variance = wants[j]
                 if variance:
-                    terms = kpb[power] * (xk * h + xk * xk * hp)
+                    terms = kpb[power] * (xk * h if hp is None
+                                          else xk * h + xk * xk * hp)
                 else:
                     terms = kpb[power] * xk * h
                 totals[j] += float(terms.sum())
                 if (xk[last] < 0.5 and float(terms[last])
                         < _STOP_REL * max(totals[j], 1e-300)):
                     live.remove(j)
+            if totals[0] > stop_above:
+                break
             start += _BLOCK
             if end_support is not None and start > end_support:
                 break
@@ -595,10 +614,19 @@ class Ensemble:
                 raise DomainError("moment sum failed to terminate")
         return totals
 
-    def mean_N(self, x: float, blocks: dict | None = None) -> float:
-        """Expected total weight at tilt x."""
+    def mean_N(self, x: float, blocks: dict | None = None, *,
+               stop_above: float = math.inf) -> float:
+        """Expected total weight at tilt x.
+
+        With stop_above, the walk may return a partial sum once that sum
+        exceeds stop_above. The terms k b_k E R_k are all >= 0, so the result
+        then still exceeds stop_above, and it is the full mean whenever the
+        full mean is <= stop_above: comparisons of the result with
+        stop_above read as they would on the full mean.
+        """
         self._check_x(x)
-        return self._moment_sums(x, (_MEAN,), blocks=blocks)[0]
+        return self._moment_sums(x, (_MEAN,), blocks=blocks,
+                                 stop_above=stop_above)[0]
 
     def var_N(self, x: float) -> float:
         """Variance of the total weight at tilt x."""

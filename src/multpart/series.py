@@ -437,6 +437,8 @@ class CustomSeries(SeriesFunction):
             if not math.isfinite(v):
                 self._full = True
                 break
+            if v < 0.0:
+                raise ParamError("coefficients must be nonnegative")
             g.append(v)
         self._g = np.concatenate((self._g, g))
         self._full = self._full or self._g.size > _MAX_TERMS

@@ -269,6 +269,45 @@ def test_mean_strictly_increasing(x):
     assert e.mean_N(x + 0.05) > e.mean_N(x)
 
 
+STOP_FAMILIES = {
+    "uniform": lambda: make("uniform"),
+    "gibbs205": lambda: make("gibbs", theta=2, beta=0.5),
+    "weighted2": lambda: make("weighted", y=2),
+    "strict": lambda: Ensemble(CustomSeries([1, 1]), constant_weights()),
+}
+
+
+@given(st.sampled_from(sorted(STOP_FAMILIES)), st.floats(0.01, 0.9995),
+       st.one_of(st.integers(1, 10 ** 7), st.floats(0.5, 2.0)))
+@settings(max_examples=60, deadline=None)
+def test_mean_stop_above_compares_as_the_full_mean(name, u, target):
+    # an int is n itself; a float places n at that multiple of the mean
+    e = STOP_FAMILIES[name]()
+    x = u * e.rho
+    full = e.mean_N(x)
+    n = target if isinstance(target, int) else max(1, round(target * full))
+    early = e.mean_N(x, stop_above=n)
+    assert (early < n) == (full < n)
+    assert (early > n) == (full > n)
+    if full <= n:
+        assert early == full
+
+
+def test_tilt_bracket_stops_its_probes_past_n(monkeypatch):
+    # the upper probe sits at 1 - tau0/4 and would walk about four times
+    # the sizes of a Newton step; stopped past n it walks about as many
+    calls = []
+    values = WeightSequence.values
+
+    def counted(self, ks):
+        calls.append(len(ks))
+        return values(self, ks)
+
+    monkeypatch.setattr(WeightSequence, "values", counted)
+    solve_tilt(make("gibbs", theta=2, beta=0.5), 10 ** 6)
+    assert len(calls) <= 60
+
+
 def test_var_increasing_on_grid():
     e = uniform()
     xs = np.linspace(0.05, 0.95, 19)

@@ -192,6 +192,13 @@ def test_custom_series_validation():
         CustomSeries([1, -1])
     with pytest.raises(ParamError):
         CustomSeries(lambda j: j + 1, radius=0.0)
+    # a rule is checked as its coefficients are first read: a negative g_2
+    # would give h(2) < 0 and a mean weight that is not monotone in x
+    rule = CustomSeries(lambda j: (1, 1, -0.4)[j] if j < 3 else 0.0, radius=10)
+    for evaluate in (lambda: rule.eval_with_derivatives(2.0),
+                     lambda: rule.h_vector(np.array([0.5, 2.0]))):
+        with pytest.raises(ParamError, match="nonnegative"):
+            evaluate()
 
 
 def test_exact_coefficients_flag():
