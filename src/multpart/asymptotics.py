@@ -460,6 +460,12 @@ def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
     bracket endpoints update by the sign of mean - n each iteration, which
     monotonicity of the mean makes valid.
 
+    Float resolution sets a floor. Near a pole, one ulp of x can move the
+    mean by more than rel_tol * n (weighted(y=2) from n of about 3e6 on).
+    Once no float lies strictly between the bracket endpoints, the solve
+    stops and returns the endpoint whose mean lies closer to n; its
+    residual then exceeds rel_tol * n and says by how much.
+
     Each step takes mean and variance from one pass over the size blocks
     (Ensemble.mean_var); the blocks' k-only arrays are kept for this solve only.
     """
@@ -473,6 +479,7 @@ def _newton_tilt(e: Ensemble, n: int, rel_tol: float,
                  max_iter: int) -> TiltSolution:
     blocks: dict = {}
     lo, hi = _bracket(e, n, blocks)
+    lo_at = hi_at = None  # (mean, var) at lo and hi, once evaluated there
     x = 0.5 * (lo + hi)
     tol = rel_tol * n
     prev_res = math.inf
@@ -484,9 +491,17 @@ def _newton_tilt(e: Ensemble, n: int, rel_tol: float,
             return TiltSolution(n=n, x_n=x, tau_n=1.0 - x, residual=abs(res),
                                 mean=mean, variance=var, iterations=it)
         if res > 0.0:
-            hi = x
+            hi, hi_at = x, (mean, var)
         else:
-            lo = x
+            lo, lo_at = x, (mean, var)
+        if hi <= math.nextafter(lo, math.inf):
+            # no float lies between lo and hi: take the closer endpoint
+            ends = [(lo, lo_at or e.mean_var(lo, blocks)),
+                    (hi, hi_at or e.mean_var(hi, blocks))]
+            x, (mean, var) = min(ends, key=lambda end: abs(end[1][0] - n))
+            return TiltSolution(n=n, x_n=x, tau_n=1.0 - x,
+                                residual=abs(mean - n), mean=mean,
+                                variance=var, iterations=it)
         if newton_last and abs(res) >= prev_res:
             # safeguard: the Newton step failed to contract, bisect instead
             x = 0.5 * (lo + hi)

@@ -9,9 +9,12 @@ summed, tabulated and turned into point masses:
   exact (integers, unscaled to ints/Fractions at the end) whenever the
   ensemble data are rational, extended-precision floats otherwise. An
   exponential series fills the table by the log-derivative recurrence
-  m a_m = sum_i d_i a_{m-i}; a geometric series with integer b_k <= 64
-  takes b_k scans of 1/(1 - y x^k); every other factor is a stride
-  convolution with the power series of f^{b_k};
+  m a_m = sum_i d_i a_{m-i}; a geometric series with b_k = 1 for every
+  k <= N (uniform and weighted(y)) is summed over Durfee squares,
+  F = sum_d y^d z^{d^2} / prod_{i<=d} (1 - z^i)(1 - y z^i), in
+  2 floor(sqrt(N)) scans; any other geometric series with integer
+  b_k <= 64 takes b_k scans of 1/(1 - y x^k) per k; every other factor
+  is a stride convolution with the power series of f^{b_k};
 * point masses p_m = a_m x^m / F(x) come from the Euler-transform
   (log-derivative) recurrence m p_m = sum_{i<=m} c_i p_{m-i}, where
   c_i = x^i sum_{k|i} k b_k nu_{i/k} and nu_j = j [z^j] log f. It starts
@@ -197,11 +200,14 @@ def _scan(a: np.ndarray, k: int, mult) -> None:
     """In place a[m] += mult * a[m-k] for ascending m: one 1/(1 - mult x^k)
     factor.
 
-    Each step adds the finished row below it, k entries at once. With
-    mult == 1 the reshape view turns the per-residue running sums into one
-    accumulate call, and the ragged tail is one add whose sources are final.
+    Each step adds the finished row below it, k entries at once; with
+    k >= len(a) there is no such row and a stays as it is. With mult == 1
+    the reshape view turns the per-residue running sums into one accumulate
+    call, and the ragged tail is one add whose sources are final.
     """
     n1 = a.shape[0]
+    if k >= n1:
+        return
     if mult == 1:
         rows = n1 // k
         if rows > 1:
@@ -227,16 +233,44 @@ def _convolve_stride(a: np.ndarray, k: int, w) -> None:
             a[off:] += w[j] * prev[:n1 - off]
 
 
+def _durfee_sum(a: np.ndarray, p, r) -> None:
+    """In place a += sum_{d>=1} y^d z^{d^2} / prod_{i<=d} (1 - z^i)(1 - y z^i).
+
+    With a = 1 on entry this is prod_k 1/(1 - y z^k): a partition splits
+    into its Durfee square d x d, at most d rows right of the square and
+    parts <= d below it (Andrews, The Theory of Partitions, 1976, 2.2).
+    Term d comes from term d-1 as T_d = T_{d-1} y z^{2d-1} / ((1 - z^d)
+    (1 - y z^d)): one shift and two scans on the window m >= d^2, where
+    T_d can be nonzero, so the table takes 2 floor(sqrt(n_max)) scans.
+    Exact tables hold r^m-scaled integers, y = p/r: the shift multiplies
+    by p r^{2d-2}, the scans by r^d and p r^{d-1}. Floats pass p = y, r = 1.
+    """
+    n1 = a.shape[0]
+    t = a.copy()  # T_0 = 1 on the window m >= 0
+    d = 1
+    while d * d < n1:
+        lo = d * d
+        # T_{d-1} lives on m >= (d-1)^2, so T_{d-1}[m - 2d + 1] sits at
+        # index m - d^2 of its window
+        t = p * r ** (2 * d - 2) * t[:n1 - lo]
+        _scan(t, d, r ** d)
+        _scan(t, d, p * r ** (d - 1))
+        a[lo:] += t
+        d += 1
+
+
 def _build(e: Ensemble, n_max: int, exact: bool) -> np.ndarray:
     """a_0..a_{n_max}: Python ints/Fractions when exact, long doubles otherwise.
 
     An exponential series gives F = exp(sum_i d_i z^i / i), d_i = i c b_i,
-    filled by m a_m = sum_{i<=m} d_i a_{m-i}. Other series go factor by
-    factor: b_k scans of 1/(1 - y x^k) for a geometric series with integer
-    b_k <= 64, a stride convolution with f(x^k)^{b_k} otherwise. Exact
-    tables run on integers: the array holds s r^m a_m, where r is the
-    denominator q of y = p/q, or, with s = n_max!, the common denominator
-    D of the d_i. The last step divides the scaling out.
+    filled by m a_m = sum_{i<=m} d_i a_{m-i}. A geometric series with
+    b_k = 1 for every k <= n_max (uniform, weighted(y)) is summed over
+    Durfee squares in O(n_max^{3/2}) operations (_durfee_sum). Other series
+    go factor by factor: b_k scans of 1/(1 - y x^k) for a geometric series
+    with integer b_k <= 64, a stride convolution with f(x^k)^{b_k}
+    otherwise. Exact tables run on integers: the array holds s r^m a_m,
+    where r is the denominator q of y = p/q, or, with s = n_max!, the
+    common denominator D of the d_i. The last step divides the scaling out.
     """
     series = e.series
     if exact:
@@ -248,7 +282,13 @@ def _build(e: Ensemble, n_max: int, exact: bool) -> np.ndarray:
         bs = e.weights.values(np.arange(1, n_max + 1)).tolist()
     factors = [(k, b) for k, b in enumerate(bs, 1) if b != 0]
     a = np.zeros(n_max + 1, dtype=object if exact else np.longdouble)
-    s = r = 1
+    a[0] = s = r = 1
+    geometric = isinstance(series, GeometricSeries)
+    if geometric:
+        # y = p/r; floats keep y whole in p, with r = 1
+        y = (series.exact_coefficient(1) if exact
+             else np.longdouble(series.coefficient(1)))
+        p, r = (y.numerator, y.denominator) if exact else (y, 1)
     if isinstance(series, ExponentialSeries):
         rate = series.exact_coefficient(1) if exact else float(series.rate)
         d = [0] * (n_max + 1)
@@ -263,21 +303,16 @@ def _build(e: Ensemble, n_max: int, exact: bool) -> np.ndarray:
         for m in range(1, n_max + 1):
             t = np.dot(a[:m], rev[n_max - m:])
             a[m] = t // m if exact else t / m
+    elif geometric and all(b == 1 for b in bs):
+        _durfee_sum(a, p, r)
     else:
-        a[0] = 1
-        geometric = isinstance(series, GeometricSeries)
-        if geometric:
-            y = (series.exact_coefficient(1) if exact
-                 else np.longdouble(series.coefficient(1)))
-            r = y.denominator if exact else 1
         for k, b in factors:
             reps = b.numerator if exact else round(b)
             whole = b.denominator == 1 if exact else abs(b - reps) < 1e-12
             if geometric and whole and 1 <= b <= 64:
-                # y r^k = p q^(k-1): an int multiplier keeps the scan fast
-                mult = y.numerator * r ** (k - 1) if exact else y
+                # y r^k = p r^(k-1): an int multiplier keeps the scan fast
                 for _ in range(reps):
-                    _scan(a, k, mult)
+                    _scan(a, k, p * r ** (k - 1))
                 continue
             w = power_coefficients(series, b, n_max // k)
             if exact and any(isinstance(wj, float) for wj in w):
@@ -356,10 +391,12 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
     mode: "auto" picks exact arithmetic when the ensemble is rational,
     extended floats otherwise or when a coefficient read turns out inexact;
     "exact"/"float" force the arithmetic. Both run the same builder: the
-    log-derivative recurrence for an exponential series, scans for
-    geometric factors with integer b_k <= 64, stride convolutions for every
-    other factor. Only the array type, the integer scalings of the exact
-    tables and the last step (unscale, or the overflow check) differ.
+    log-derivative recurrence for an exponential series; the Durfee-square
+    sum, O(n_max^{3/2}) operations, for a geometric series with b_k = 1 at
+    every k <= n_max (uniform, weighted(y)); otherwise scans for geometric
+    factors with integer b_k <= 64 and stride convolutions for every other
+    factor, O(n_max^2). Only the array type, the integer scalings of the
+    exact tables and the last step (unscale, or the overflow check) differ.
 
     keep_prefix also retains the tilted per-prefix rows (memory grows
     quadratically: capped at n_max = 5000). x0 overrides the tilt, which

@@ -443,17 +443,24 @@ class CustomSeries(SeriesFunction):
         self._g = np.concatenate((self._g, g))
         self._full = self._full or self._g.size > _MAX_TERMS
 
+    def _rule(self, j: int) -> Number:
+        """g_j straight from the rule, refused when negative as _grow does."""
+        g = self._fn(j)
+        if g < 0:
+            raise ParamError("coefficients must be nonnegative")
+        return g
+
     def coefficient(self, j: int) -> float:
         self._grow(j + 1)
         if j < self._g.size:
             return float(self._g[j])
-        return 0.0 if self._is_polynomial else float(self._fn(j))
+        return 0.0 if self._is_polynomial else float(self._rule(j))
 
     def exact_coefficient(self, j: int) -> Fraction | None:
         if self._seq is not None:
             g = self._seq[j] if j < len(self._seq) else 0
         else:
-            g = self._fn(j)
+            g = self._rule(j)
         return _as_exact(g)
 
     @property

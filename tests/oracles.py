@@ -65,10 +65,13 @@ def weighted_partition_sum(n: int, part_weight, allowed=None):
 
 def poly_mul(a: list, b: list, n_max: int) -> list:
     out = [0] * (n_max + 1)
+    b_nonzero = [(j, bj) for j, bj in enumerate(b[:n_max + 1]) if bj != 0]
     for i, ai in enumerate(a[:n_max + 1]):
         if ai == 0:
             continue
-        for j, bj in enumerate(b[:n_max + 1 - i]):
+        for j, bj in b_nonzero:
+            if i + j > n_max:
+                break
             out[i + j] += ai * bj
     return out
 

@@ -453,6 +453,23 @@ def test_tilt_solve_bit_identical(name, n):
             sol.iterations) == (x_n, mean, var, iterations)
 
 
+@pytest.mark.parametrize("name,n", [("weighted2", 3_160_000),
+                                    ("weighted2", 24_000_000),
+                                    ("explicit5", 17_438_575)])
+def test_tilt_stops_at_the_float_resolution_floor(name, n):
+    # one ulp of x moves the mean by more than 1e-10 n here: the solve
+    # returns the closer of two adjacent floats around the root
+    e = TILT_FAMILIES[name]()
+    sol = solve_tilt(e, n)
+    assert sol.residual == abs(sol.mean - n) > 1e-10 * n
+    assert (sol.mean, sol.variance) == e.mean_var(sol.x_n)
+    above = sol.mean > n
+    other = math.nextafter(sol.x_n, -math.inf if above else math.inf)
+    other_mean = e.mean_N(other)
+    assert (other_mean < n) if above else (other_mean > n)
+    assert abs(other_mean - n) >= sol.residual
+
+
 def test_tilt_rejects_bad_n():
     with pytest.raises(ParamError):
         solve_tilt(make("uniform"), 0)

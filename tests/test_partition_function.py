@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multpart import (
     CustomSeries,
@@ -31,8 +33,10 @@ from multpart import (
     sample_grand,
     solve_tilt,
 )
+from multpart import partition_function
 from multpart.partition_function import (_factor_weights_float,
-                                        _log_derivative_weights, _tilted_masses)
+                                        _log_derivative_weights, _scan,
+                                        _tilted_masses)
 
 from oracles import (exp_factor, geometric_factor, log_partition_loop,
                      partition_count, partition_product, product_coefficients,
@@ -133,17 +137,21 @@ def _power_factor(k: int, b: int, n_max: int) -> list:
     return out
 
 
-# one case per branch of the table builder: the unit scan, the weighted
-# scan (integer y and y = p/q with q > 1), repeated scans for b_k <= 64
-# followed by convolution past 64, convolution on a custom series, and
-# the exponential recurrence with a non-integer rate
+# one case per branch of the table builder but the Durfee sum, which has
+# its own tests below: the unit scan, the weighted scan (integer y and
+# y = p/q with q > 1; odd parts keep these out of the Durfee sum),
+# repeated scans for b_k <= 64 followed by convolution past 64,
+# convolution on a custom series, and the exponential recurrence with a
+# non-integer rate
 BUILDER_CASES = {
-    "unit scan": (make("uniform"), 60,
-                  lambda k, n: geometric_factor(k, 1, n)),
-    "weighted scan y=2": (make("weighted", y=2), 60,
-                          lambda k, n: geometric_factor(k, 2, n)),
-    "weighted scan y=2/3": (make("weighted", y=Fraction(2, 3)), 40,
-                            lambda k, n: geometric_factor(k, Fraction(2, 3), n)),
+    "unit scan": (make("restricted", parts="odds"), 60,
+                  lambda k, n: geometric_factor(k, k % 2, n)),
+    "weighted scan y=2": (
+        Ensemble(GeometricSeries(2), indicator_weights("odds")), 60,
+        lambda k, n: geometric_factor(k, 2 * (k % 2), n)),
+    "weighted scan y=2/3": (
+        Ensemble(GeometricSeries(Fraction(2, 3)), indicator_weights("odds")), 40,
+        lambda k, n: geometric_factor(k, Fraction(2, 3) * (k % 2), n)),
     "repeated scans then convolve": (
         Ensemble(GeometricSeries(1), monomial_weights(1, 1)), 72,
         lambda k, n: _power_factor(k, k, n)),
@@ -168,6 +176,90 @@ def test_builder_branches_match_product_oracle(name, mode):
     else:
         for a, b in zip(table.values, want):
             assert float(a) == pytest.approx(float(b), rel=1e-12)
+
+
+def _family(y):
+    return make("uniform") if y == 1 else make("weighted", y=y)
+
+
+def _product_table(y, n):
+    return product_coefficients([geometric_factor(k, y, n)
+                                 for k in range(1, n + 1)], n)
+
+
+@pytest.mark.parametrize("y", [1, 2, Fraction(1, 2), Fraction(3, 7),
+                               Fraction(5, 3)], ids=str)
+def test_durfee_sum_matches_product_oracle(y):
+    want = _product_table(y, 200)
+    for n in (0, 1, 2, 3, 4, 8, 9, 15, 16, 17, 200):
+        got = list(coefficients(_family(y), n).values)
+        assert got == want[:n + 1]
+        assert [type(v) for v in got] == [type(v) for v in want[:n + 1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 9), q=st.integers(1, 9), n=st.integers(0, 60))
+def test_durfee_sum_matches_product_oracle_property(p, q, n):
+    y = Fraction(p, q)
+    y = y.numerator if y.denominator == 1 else y  # an integer y gives ints
+    want = _product_table(y, n)
+    got = list(coefficients(make("weighted", y=y), n).values)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("y,n", [(1, 2000), (2, 2000), (Fraction(1, 2), 1000),
+                                 (Fraction(3, 7), 300), (Fraction(5, 3), 300)],
+                         ids=str)
+def test_durfee_float_table_within_1e15_of_exact(y, n):
+    # float mode sums with y rounded to a double; the exact table of that
+    # double isolates the error of the float arithmetic
+    y_read = Fraction(float(y))
+    exact = coefficients(_family(y_read), n, mode="exact").values
+    flt = coefficients(_family(y), n, mode="float").values
+    for a, b in zip(flt, exact):
+        assert abs(Fraction(*a.as_integer_ratio()) - b) <= Fraction(1, 10 ** 15) * b
+
+
+def _count_scans(monkeypatch):
+    calls = []
+
+    def counting(a, k, mult):
+        calls.append(k)
+        _scan(a, k, mult)
+    monkeypatch.setattr(partition_function, "_scan", counting)
+    return calls
+
+
+def test_durfee_sum_scan_count(monkeypatch):
+    # 2 floor(sqrt(n)) scans where the factor loop made n
+    calls = _count_scans(monkeypatch)
+    coefficients(make("weighted", y=2), 2000)
+    assert 0 < len(calls) <= 2 * math.isqrt(2000)
+
+
+@pytest.mark.parametrize("e,scans", [
+    (make("restricted", parts="odds"), 15),
+    (Ensemble(GeometricSeries(1), explicit_weights([1] * 5)), 5),
+], ids=["odds", "explicit"])
+def test_partial_weights_take_the_factor_loop(monkeypatch, e, scans):
+    # b_k = 0 for some k <= n: one scan per part size with b_k = 1
+    calls = _count_scans(monkeypatch)
+    assert coefficients(e, 30).values[30] > 0
+    assert sorted(calls) == sorted(k for k in range(1, 31)
+                                   if e.weights.value(k) == 1)
+    assert len(calls) == scans
+
+
+@pytest.mark.parametrize("n1,k", [(2, 3), (3, 3), (3, 4), (1, 1), (1, 5)])
+@pytest.mark.parametrize("mult", [1, 2])
+def test_scan_with_no_full_row_is_a_no_op(n1, k, mult):
+    # with mult = 1, (2, 3) once broadcast a one-entry source into a wrong
+    # table, and (3, 4) and (1, 5) raised a shape error
+    for dtype in (object, np.longdouble):
+        a = np.arange(1, n1 + 1).astype(dtype)
+        _scan(a, k, mult)
+        assert a.tolist() == list(range(1, n1 + 1))
 
 
 def test_float_route_matches_exact():

@@ -199,6 +199,18 @@ def test_custom_series_validation():
                      lambda: rule.h_vector(np.array([0.5, 2.0]))):
         with pytest.raises(ParamError, match="nonnegative"):
             evaluate()
+    # exact reads are checked too
+    rule = CustomSeries(lambda j: (1, 1, -1)[j] if j < 3 else 0, radius=10)
+    with pytest.raises(ParamError, match="nonnegative"):
+        power_coefficients(rule, 1, 4)
+    with pytest.raises(ParamError, match="nonnegative"):
+        rule.exact_coefficient(2)
+    # and so are reads past the cached coefficients, which end where the
+    # rule leaves the float range
+    rule = CustomSeries(lambda j: (1, 1, 1, math.inf, -1)[j] if j < 5 else 0,
+                        radius=10)
+    with pytest.raises(ParamError, match="nonnegative"):
+        rule.coefficient(4)
 
 
 def test_exact_coefficients_flag():
