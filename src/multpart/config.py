@@ -29,13 +29,18 @@ from typing import Any
 import yaml
 
 from . import catalog
-from .ensemble import Ensemble, PartSet, WeightSequence
+from .ensemble import (Ensemble, WeightSequence, constant_weights,
+                       explicit_weights, indicator_weights, monomial_weights,
+                       power_law_weights)
 from .errors import ConfigError, MultpartError
 from .series import (CustomSeries, ExponentialSeries, GeometricSeries,
                      SeriesFunction, Singularity)
 
 _SERIES_KINDS = ("geometric", "exponential", "custom")
-_WEIGHT_RULES = ("constant", "indicator", "power_law", "monomial", "explicit")
+# each weight rule with the keys its section may carry besides "rule"
+_WEIGHT_RULES = {"constant": (), "indicator": ("parts",),
+                 "power_law": ("theta", "beta"), "monomial": ("coeff", "power"),
+                 "explicit": ("values",)}
 
 
 @dataclass(frozen=True)
@@ -130,39 +135,32 @@ def _build_series(sec: dict, path: str) -> SeriesFunction:
 def _build_weights(sec: dict, declared: dict, path: str) -> WeightSequence:
     sec = _require_mapping(sec, path)
     rule = sec.get("rule")
-    if rule not in _WEIGHT_RULES:
+    if not isinstance(rule, str) or rule not in _WEIGHT_RULES:
         raise _fail(f"{path}.rule",
                     f"expected one of {list(_WEIGHT_RULES)}, got {rule!r}")
-    kwargs: dict[str, Any] = {
-        "declared_beta": _number(declared, "beta", "declared"),
-        "declared_theta": _number(declared, "theta", "declared",
-                                  positive=True),
-    }
+    decl = {"declared_beta": _number(declared, "beta", "declared"),
+            "declared_theta": _number(declared, "theta", "declared",
+                                      positive=True)}
+    _reject_extras(sec, ("rule",) + _WEIGHT_RULES[rule], path)
     if rule == "constant":
-        _reject_extras(sec, ("rule",), path)
-    elif rule == "indicator":
-        _reject_extras(sec, ("rule", "parts"), path)
+        return constant_weights(**decl)
+    if rule == "indicator":
         if "parts" not in sec:
             raise _fail(f"{path}.parts", "indicator rule needs a part set")
-        kwargs["part_set"] = PartSet.from_spec(sec["parts"])
-    elif rule == "power_law":
-        _reject_extras(sec, ("rule", "theta", "beta"), path)
-        kwargs["theta"] = _number(sec, "theta", path, default=1,
-                                  positive=True)
-        kwargs["beta"] = _number(sec, "beta", path, default=1, positive=True)
-    elif rule == "monomial":
-        _reject_extras(sec, ("rule", "coeff", "power"), path)
-        kwargs["coeff"] = _number(sec, "coeff", path, default=1,
-                                  positive=True)
-        kwargs["power"] = _number(sec, "power", path, default=0)
-    else:
-        _reject_extras(sec, ("rule", "values"), path)
-        values = sec.get("values")
-        if not isinstance(values, (list, tuple)) or not values:
-            raise _fail(f"{path}.values",
-                        "explicit rule needs a nonempty value list")
-        kwargs["values"] = list(values)
-    return WeightSequence(rule, **kwargs)
+        return indicator_weights(sec["parts"], **decl)
+    if rule == "power_law":
+        return power_law_weights(
+            _number(sec, "theta", path, default=1, positive=True),
+            _number(sec, "beta", path, default=1, positive=True), **decl)
+    if rule == "monomial":
+        return monomial_weights(
+            _number(sec, "coeff", path, default=1, positive=True),
+            _number(sec, "power", path, default=0), **decl)
+    values = sec.get("values")
+    if not isinstance(values, (list, tuple)) or not values:
+        raise _fail(f"{path}.values",
+                    "explicit rule needs a nonempty value list")
+    return explicit_weights(values, **decl)
 
 
 def _build_numerics(sec: Any, path: str) -> Numerics:

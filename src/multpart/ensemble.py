@@ -1,7 +1,11 @@
 """Weight sequences, ensembles, and their first two weight moments.
 
-An ensemble couples a single-part series f with a weight b_k >= 0 per part
-size k; the induced measure on partitions is proportional to the product of
+A weight sequence b_k >= 0 is one small WeightSequence subclass per rule,
+each with its closed forms, built by constant_weights, indicator_weights (on
+a PartSet), power_law_weights, monomial_weights or explicit_weights.
+
+An ensemble couples a single-part series f with a weight sequence; the
+induced measure on partitions is proportional to the product of
 per-size factors, and at inverse-temperature-like tilt x in (0, rho) the
 size-k count R_k has probability generating function f(x^k e^s)^{b_k} /
 f(x^k)^{b_k}, independently over k. The total weight N = sum k R_k then has
@@ -27,6 +31,7 @@ by the local-limit machinery, and a power-law-remainder fit.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -53,16 +58,14 @@ class PartSet:
     """A set of part sizes, used by indicator weight rules.
 
     Built from "evens"/"odds", a modulus with residues, an explicit finite
-    collection, or a predicate callable. Supplies scalar membership, a
-    vectorized mask, and a natural-density estimate.
+    collection, or a predicate callable. Supplies a vectorized mask (scalar
+    membership reads it too) and a natural-density estimate.
     """
 
-    def __init__(self, label: str, contains: Callable[[int], bool],
-                 mask: Callable[[np.ndarray], np.ndarray],
+    def __init__(self, label: str, mask: Callable[[np.ndarray], np.ndarray],
                  density: float | None, finite: bool):
         self.label = label
-        self._contains = contains
-        self._mask = mask
+        self.mask = mask
         self.density = density
         self.finite = finite
 
@@ -92,14 +95,11 @@ class PartSet:
         if modulus < 1 or not residues:
             raise ParamError("modular part set needs modulus >= 1 and residues")
         rs = sorted({r % modulus for r in residues})
-        rset = frozenset(rs)
         lbl = label or f"mod {modulus} residues {rs}"
         table = np.zeros(modulus, dtype=bool)
         table[rs] = True
-        return cls(lbl,
-                   lambda k: (k % modulus) in rset,
-                   lambda ks: table[ks % modulus],
-                   len(rs) / modulus, finite=False)
+        return cls(lbl, lambda ks: table[ks % modulus], len(rs) / modulus,
+                   finite=False)
 
     @classmethod
     def explicit(cls, members: Iterable[int]) -> "PartSet":
@@ -107,28 +107,23 @@ class PartSet:
         if not mset or min(mset) < 1:
             raise ParamError("explicit part set needs members >= 1")
         marr = np.array(sorted(mset))
-        return cls(f"set of {len(mset)}",
-                   lambda k: k in mset,
-                   lambda ks: np.isin(ks, marr),
-                   0.0, finite=True)
+        return cls(f"set of {len(mset)}", lambda ks: np.isin(ks, marr), 0.0,
+                   finite=True)
 
     @classmethod
     def predicate(cls, fn: Callable[[int], bool]) -> "PartSet":
         def mask(ks: np.ndarray) -> np.ndarray:
             return np.fromiter((bool(fn(int(k))) for k in ks), bool, len(ks))
-        return cls("predicate", lambda k: bool(fn(k)), mask, None, finite=False)
+        return cls("predicate", mask, None, finite=False)
 
     def estimated_density(self, k_max: int = 1 << 14) -> float:
         if self.density is not None:
             return self.density
         ks = np.arange(1, k_max + 1)
-        return float(self._mask(ks).mean())
+        return float(self.mask(ks).mean())
 
     def __contains__(self, k: int) -> bool:
-        return self._contains(int(k))
-
-    def mask(self, ks: np.ndarray) -> np.ndarray:
-        return self._mask(ks)
+        return bool(self.mask(np.array([int(k)]))[0])
 
     def __repr__(self):
         return f"PartSet({self.label})"
@@ -139,215 +134,89 @@ class PartSet:
 
 
 class WeightSequence:
-    """b_k >= 0 per part size, one of a few closed rules.
+    """b_k >= 0 per part size; one subclass per rule, built by its factory:
 
-    Rules:
-      constant            b_k = 1
-      indicator(S)        b_k = 1 when k in S else 0
-      power_law(theta, beta)   b_k = theta*(k^beta - (k-1)^beta); B_k = theta*k^beta
-      monomial(c, p)      b_k = c * k^p
-      explicit(values)    finite list, zero beyond the end
+      constant_weights()              b_k = 1
+      indicator_weights(S)            b_k = 1 when k in S else 0
+      power_law_weights(theta, beta)  b_k = theta*(k^beta - (k-1)^beta);
+                                      B_k = theta*k^beta
+      monomial_weights(c, p)          b_k = c * k^p
+      explicit_weights(values)        finite list, zero beyond the end
 
-    A scale factor multiplies every b_k (the f**b_1 normalization trade uses
-    it). beta/theta describe B_k ~ theta * k^beta and may be declared
-    explicitly; otherwise they follow from the rule (explicit lists have
-    none).
+    A rule supplies its unscaled values (_values(ks)) and exact values
+    (_exact_values(n)), its closed-form prefix_sums where it has one, its
+    block bounds (_block(lo, hi, scale)) and the growth B_k ~ theta * k^beta
+    it implies (implied_beta, _theta(scale)). This base holds the rest: a
+    scale factor that multiplies every b_k (the f**b_1 normalization trade
+    uses it), and beta/theta declared through the factories' declared_beta/
+    declared_theta keywords, which override the rule's (explicit lists imply
+    none). theta, declared or implied, is scaled with the b_k.
     """
 
-    def __init__(self, rule: str, *, part_set: PartSet | None = None,
-                 theta: Number = 1, beta: Number = 1,
-                 coeff: Number = 1, power: Number = 0,
-                 values: Sequence[Number] | None = None,
-                 scale: Number = 1,
-                 declared_beta: float | None = None,
+    rule = ""
+    finite_support = False
+    support_end: int | None = None  # largest k with b_k possibly nonzero
+    bounded_below = False  # True when inf_k b_k > 0 can be read off the rule
+    implied_beta: float | None = None  # growth exponent of B_k by the rule
+    _args = ""  # the rule's parameters, as repr shows them
+
+    def __init__(self, declared_beta: float | None = None,
                  declared_theta: float | None = None):
-        if rule not in ("constant", "indicator", "power_law", "monomial",
-                        "explicit"):
-            raise ParamError(f"unknown weight rule {rule!r}")
-        self.rule = rule
-        self.part_set = part_set
-        self.theta_param = theta
-        self.beta_param = beta
-        self.coeff = coeff
-        self.power = power
-        self.scale = scale
+        self.scale: Number = 1
         self.declared_beta = declared_beta
         self.declared_theta = declared_theta
-        if rule == "indicator" and part_set is None:
-            raise ParamError("indicator rule needs a part set")
-        if rule == "power_law" and not (theta > 0 and beta > 0):
-            raise ParamError("power_law needs theta > 0 and beta > 0")
-        if rule == "monomial" and not (coeff > 0):
-            raise ParamError("monomial needs a positive coefficient")
-        if rule == "explicit":
-            if not values:
-                raise ParamError("explicit rule needs a nonempty value list")
-            if any(v < 0 for v in values):
-                raise ParamError("weights must be nonnegative")
-        self._values = list(values) if values is not None else None
-        self._prefix_cache: np.ndarray | None = None
-
-    # -- construction helpers ---------------------------------------------
 
     def __repr__(self):
-        extra = {
-            "constant": "",
-            "indicator": f"({self.part_set!r})",
-            "power_law": f"(theta={self.theta_param}, beta={self.beta_param})",
-            "monomial": f"({self.coeff}*k^{self.power})",
-            "explicit": f"({len(self._values or [])} values)",
-        }[self.rule]
         s = "" if self.scale == 1 else f", scale={self.scale}"
-        return f"WeightSequence({self.rule}{extra}{s})"
+        return f"WeightSequence({self.rule}{self._args}{s})"
 
     def scaled(self, factor: Number) -> "WeightSequence":
-        w = WeightSequence.__new__(WeightSequence)
-        w.__dict__.update(self.__dict__)
+        w = copy.copy(self)
         w.scale = self.scale * factor
-        w._prefix_cache = None
         return w
 
     # -- values ------------------------------------------------------------
 
-    @property
-    def finite_support(self) -> bool:
-        if self.rule == "explicit":
-            return True
-        if self.rule == "indicator":
-            return self.part_set.finite
-        return False
-
-    @property
-    def support_end(self) -> int | None:
-        """Largest k with b_k possibly nonzero, None when unbounded."""
-        if self.rule == "explicit":
-            return len(self._values)
-        return None
+    def values(self, ks: np.ndarray) -> np.ndarray:
+        out = self._values(np.asarray(ks, dtype=np.int64))
+        s = float(self.scale)
+        return out * s if s != 1.0 else out
 
     def value(self, k: int) -> float:
         return float(self.values(np.array([k]))[0])
 
-    def values(self, ks: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.int64)
-        s = float(self.scale)
-        if self.rule == "constant":
-            out = np.ones(len(ks))
-        elif self.rule == "indicator":
-            out = self.part_set.mask(ks).astype(float)
-        elif self.rule == "power_law":
-            th, be = float(self.theta_param), float(self.beta_param)
-            kf = ks.astype(float)
-            out = th * (kf ** be - (kf - 1.0) ** be)
-        elif self.rule == "monomial":
-            out = float(self.coeff) * ks.astype(float) ** float(self.power)
-        else:
-            vals = np.zeros(len(ks))
-            inside = ks <= len(self._values)
-            vals[inside] = np.array(
-                [float(self._values[k - 1]) for k in ks[inside]])
-            out = vals
-        return out * s if s != 1.0 else out
-
-    def exact_value(self, k: int) -> Fraction | None:
-        """b_k as an exact rational, None when not exactly representable."""
+    def exact_values(self, n: int) -> list[Fraction] | None:
+        """b_1..b_n as Fractions, None when the b_k are not exact rationals."""
         se = _as_exact(self.scale)
-        if se is None:
-            return None
-        if self.rule == "constant":
-            v: Fraction | None = Fraction(1)
-        elif self.rule == "indicator":
-            v = Fraction(1 if k in self.part_set else 0)
-        elif self.rule == "power_law":
-            th, be = _as_exact(self.theta_param), _as_exact(self.beta_param)
-            if th is None or be is None or be.denominator != 1:
-                return None
-            b = be.numerator
-            v = th * (Fraction(k) ** b - Fraction(k - 1) ** b)
-        elif self.rule == "monomial":
-            c, p = _as_exact(self.coeff), _as_exact(self.power)
-            if c is None or p is None or p.denominator != 1:
-                return None
-            v = c * Fraction(k) ** p.numerator
-        else:
-            raw = self._values[k - 1] if k <= len(self._values) else 0
-            v = _as_exact(raw)
-            if v is None:
-                return None
-        return v * se
+        bs = None if se is None else self._exact_values(n)
+        if bs is None or se == 1:
+            return bs
+        return [b * se for b in bs]
 
     @property
     def is_rational(self) -> bool:
-        """True when every b_k is an exact rational.
-
-        b_1 and b_2 read every parameter of a closed rule; an explicit list
-        is judged by each listed value.
-        """
-        if self.rule == "explicit":
-            return all(self.exact_value(k) is not None
-                       for k in range(1, len(self._values) + 1))
-        return self.exact_value(1) is not None and self.exact_value(2) is not None
+        """True when every b_k is an exact rational: the scale and the rule's
+        parameters, or every listed value, decide it, so b_1 is enough."""
+        return self.exact_values(1) is not None
 
     @property
     def b_1(self) -> float:
         return self.value(1)
 
-    @property
-    def bounded_below(self) -> bool:
-        """True when inf_k b_k > 0 can be read off the rule."""
-        if self.rule == "constant":
-            return True
-        if self.rule == "power_law":
-            return float(self.beta_param) >= 1.0
-        if self.rule == "monomial":
-            return float(self.power) >= 0.0
-        return False  # indicator and explicit rules have zeros or an end
-
-    # -- cumulative sums ---------------------------------------------------
-
-    def _prefix_array(self, k_max: int) -> np.ndarray:
-        """Cached [B_0, B_1, ..., B_k] for rules without a closed form."""
-        if self._prefix_cache is not None and len(self._prefix_cache) > k_max:
-            return self._prefix_cache
-        have = 0 if self._prefix_cache is None else len(self._prefix_cache)
-        n = max(k_max + 1, 2 * have, 1024)
-        ks = np.arange(1, n)
-        vals = self.values(ks)
-        self._prefix_cache = np.concatenate(([0.0], np.cumsum(vals)))
-        return self._prefix_cache
-
     def prefix_sums(self, ks: np.ndarray) -> np.ndarray:
+        """B_k at each k of ks: a cumsum of b_1..b_max(ks), unless the rule
+        has a closed form."""
         ks = np.asarray(ks, dtype=np.int64)
-        s = float(self.scale)
-        if self.rule == "constant":
-            return s * ks.astype(float)
-        if self.rule == "power_law":
-            return s * float(self.theta_param) * ks.astype(float) ** float(self.beta_param)
-        arr = self._prefix_array(int(ks.max()))
-        return arr[ks]
+        b = self.values(np.arange(1, int(ks.max()) + 1))
+        return np.concatenate(([0.0], np.cumsum(b)))[ks]
 
     def block_sum_upper(self, lo: int, hi: int) -> float:
         """Upper bound for sum_{lo < k <= hi} b_k, safe for huge indices.
 
         Tail-certification loops need block totals at geometrically
-        growing indices; this never allocates an index-length array.
+        growing indices; no rule allocates an index-length array.
         """
-        if hi <= lo:
-            return 0.0
-        s = float(self.scale)
-        if self.rule in ("constant", "indicator"):
-            return s * (hi - lo)
-        if self.rule == "power_law":
-            th, be = float(self.theta_param), float(self.beta_param)
-            return s * th * (float(hi) ** be - float(lo) ** be)
-        if self.rule == "monomial":
-            p = float(self.power)
-            edge = float(hi) if p >= 0 else float(max(lo, 1))
-            return s * float(self.coeff) * (hi - lo) * edge ** p
-        # an explicit list, summed over the block: a difference of prefix
-        # sums can cancel below the block's own total
-        end = self.support_end
-        ks = np.arange(min(lo, end) + 1, min(hi, end) + 1)
-        return math.fsum(self.values(ks).tolist())
+        return self._block(lo, hi, float(self.scale))[0] if hi > lo else 0.0
 
     def block_max_upper(self, lo: int, hi: int) -> float:
         """Upper bound for max_{lo < k <= hi} b_k, safe for huge indices.
@@ -356,26 +225,7 @@ class WeightSequence:
         the block gives a far tighter tail certificate than count times
         head when x is close to 1.
         """
-        if hi <= lo:
-            return 0.0
-        s = float(self.scale)
-        if self.rule in ("constant", "indicator"):
-            return s
-        if self.rule == "power_law":
-            # increments theta*(k^beta - (k-1)^beta) = theta*beta*xi^(beta-1)
-            # for some xi in (k-1, k), monotone in the block
-            th, be = float(self.theta_param), float(self.beta_param)
-            if be < 1.0:
-                if lo < 1:
-                    return s * th  # b_1 = theta dominates every later one
-                return s * th * be * float(lo) ** (be - 1.0)
-            return s * th * be * float(hi) ** (be - 1.0)
-        if self.rule == "monomial":
-            p = float(self.power)
-            edge = float(hi) if p >= 0 else float(max(lo, 1))
-            return s * float(self.coeff) * edge ** p
-        # explicit lists terminate; the block total also bounds the maximum
-        return self.block_sum_upper(lo, hi)
+        return self._block(lo, hi, float(self.scale))[1] if hi > lo else 0.0
 
     # -- growth description ------------------------------------------------
 
@@ -384,57 +234,186 @@ class WeightSequence:
         """Growth exponent of B_k, declared or implied by the rule."""
         if self.declared_beta is not None:
             return self.declared_beta
-        if self.rule in ("constant", "indicator"):
-            return None if self.finite_support else 1.0
-        if self.rule == "power_law":
-            return float(self.beta_param)
-        if self.rule == "monomial":
-            p = float(self.power)
-            return p + 1.0 if p > -1.0 else None
-        return None  # explicit: no rule-implied growth
+        return self.implied_beta
 
     @property
     def theta(self) -> float | None:
         """Constant in B_k ~ theta * k^beta, declared or implied."""
         s = float(self.scale)
         if self.declared_theta is not None:
-            return self.declared_theta
-        if self.rule == "constant":
-            return s
-        if self.rule == "indicator":
-            if self.finite_support:
-                return None
-            return s * self.part_set.estimated_density()
-        if self.rule == "power_law":
-            return s * float(self.theta_param)
-        if self.rule == "monomial":
-            p = float(self.power)
-            return s * float(self.coeff) / (p + 1.0) if p > -1.0 else None
+            return s * self.declared_theta
+        return self._theta(s)
+
+    def _theta(self, s: float) -> float | None:
         return None
 
 
-def constant_weights() -> WeightSequence:
-    return WeightSequence("constant")
+class _Constant(WeightSequence):
+    rule = "constant"
+    bounded_below = True
+    implied_beta = 1.0
+
+    def _values(self, ks):
+        return np.ones(len(ks))
+
+    def _exact_values(self, n):
+        return [Fraction(1)] * n
+
+    def prefix_sums(self, ks):
+        return float(self.scale) * np.asarray(ks, dtype=np.int64).astype(float)
+
+    def _block(self, lo, hi, s):
+        return s * (hi - lo), s
+
+    def _theta(self, s):
+        return s
 
 
-def indicator_weights(part_set) -> WeightSequence:
-    return WeightSequence("indicator", part_set=PartSet.from_spec(part_set))
+class _Indicator(WeightSequence):
+    rule = "indicator"
+
+    def __init__(self, part_set, **declared):
+        super().__init__(**declared)
+        self.part_set = PartSet.from_spec(part_set)
+        self.finite_support = self.part_set.finite
+        self.implied_beta = None if self.finite_support else 1.0
+        self._args = f"({self.part_set!r})"
+
+    def _values(self, ks):
+        return self.part_set.mask(ks).astype(float)
+
+    def _exact_values(self, n):
+        one, zero = Fraction(1), Fraction(0)
+        return [one if m else zero
+                for m in self.part_set.mask(np.arange(1, n + 1))]
+
+    _block = _Constant._block  # b_k <= 1, as for the constant rule
+
+    def _theta(self, s):
+        if self.finite_support:
+            return None
+        return s * self.part_set.estimated_density()
 
 
-def power_law_weights(theta: Number, beta: Number) -> WeightSequence:
-    return WeightSequence("power_law", theta=theta, beta=beta)
+class _PowerLaw(WeightSequence):
+    rule = "power_law"
+
+    def __init__(self, theta: Number, beta: Number, **declared):
+        if not (theta > 0 and beta > 0):
+            raise ParamError("power_law needs theta > 0 and beta > 0")
+        super().__init__(**declared)
+        self.theta_param, self.beta_param = theta, beta
+        self.implied_beta = float(beta)
+        self.bounded_below = self.implied_beta >= 1.0
+        self._args = f"(theta={theta}, beta={beta})"
+
+    def _values(self, ks):
+        th, be = float(self.theta_param), float(self.beta_param)
+        kf = ks.astype(float)
+        return th * (kf ** be - (kf - 1.0) ** be)
+
+    def _exact_values(self, n):
+        th, be = _as_exact(self.theta_param), _as_exact(self.beta_param)
+        if th is None or be is None or be.denominator != 1:
+            return None
+        B = [k ** be.numerator for k in range(n + 1)]
+        return [th * (B[k] - B[k - 1]) for k in range(1, n + 1)]
+
+    def prefix_sums(self, ks):
+        ks = np.asarray(ks, dtype=np.int64)
+        return (float(self.scale) * float(self.theta_param)
+                * ks.astype(float) ** float(self.beta_param))
+
+    def _block(self, lo, hi, s):
+        th, be = float(self.theta_param), float(self.beta_param)
+        # increments theta*(k^beta - (k-1)^beta) = theta*beta*xi^(beta-1)
+        # for some xi in (k-1, k), monotone in the block; for beta < 1,
+        # b_1 = theta dominates every later one
+        if be >= 1.0:
+            top = s * th * be * float(hi) ** (be - 1.0)
+        else:
+            top = s * th if lo < 1 else s * th * be * float(lo) ** (be - 1.0)
+        return s * th * (float(hi) ** be - float(lo) ** be), top
+
+    def _theta(self, s):
+        return s * float(self.theta_param)
 
 
-def monomial_weights(coeff: Number, power: Number) -> WeightSequence:
-    return WeightSequence("monomial", coeff=coeff, power=power)
+class _Monomial(WeightSequence):
+    rule = "monomial"
+
+    def __init__(self, coeff: Number, power: Number, **declared):
+        if not (coeff > 0):
+            raise ParamError("monomial needs a positive coefficient")
+        super().__init__(**declared)
+        self.coeff, self.power = coeff, power
+        p = float(power)
+        self.implied_beta = p + 1.0 if p > -1.0 else None
+        self.bounded_below = p >= 0.0
+        self._args = f"({coeff}*k^{power})"
+
+    def _values(self, ks):
+        return float(self.coeff) * ks.astype(float) ** float(self.power)
+
+    def _exact_values(self, n):
+        c, p = _as_exact(self.coeff), _as_exact(self.power)
+        if c is None or p is None or p.denominator != 1:
+            return None
+        return [c * Fraction(k) ** p.numerator for k in range(1, n + 1)]
+
+    def _block(self, lo, hi, s):
+        c, p = float(self.coeff), float(self.power)
+        edge = float(hi) if p >= 0 else float(max(lo, 1))
+        return s * c * (hi - lo) * edge ** p, s * c * edge ** p
+
+    def _theta(self, s):
+        p = float(self.power)
+        return s * float(self.coeff) / (p + 1.0) if p > -1.0 else None
 
 
-def explicit_weights(values: Sequence[Number],
-                     declared_beta: float | None = None,
-                     declared_theta: float | None = None) -> WeightSequence:
-    return WeightSequence("explicit", values=list(values),
-                          declared_beta=declared_beta,
-                          declared_theta=declared_theta)
+class _Explicit(WeightSequence):
+    rule = "explicit"
+    finite_support = True
+
+    def __init__(self, values: Sequence[Number], **declared):
+        values = list(values)
+        if not values:
+            raise ParamError("explicit rule needs a nonempty value list")
+        if any(v < 0 for v in values):
+            raise ParamError("weights must be nonnegative")
+        super().__init__(**declared)
+        self.support_end = len(values)
+        self._floats = np.array([float(v) for v in values])
+        exact = [_as_exact(v) for v in values]
+        self._exact = None if any(v is None for v in exact) else exact
+        self._args = f"({len(values)} values)"
+
+    def _values(self, ks):
+        out = np.zeros(len(ks))
+        inside = ks <= self.support_end
+        out[inside] = self._floats[ks[inside] - 1]
+        return out
+
+    def _exact_values(self, n):
+        if self._exact is None:
+            return None
+        return (self._exact + [Fraction(0)] * (n - self.support_end))[:n]
+
+    def _block(self, lo, hi, s):
+        # summed over the block: a difference of prefix sums can cancel
+        # below the block's own total, which also bounds the maximum
+        end = self.support_end
+        ks = np.arange(min(lo, end) + 1, min(hi, end) + 1)
+        total = math.fsum(self.values(ks).tolist())
+        return total, total
+
+
+# the factories, one per rule, and the only constructors
+constant_weights = _Constant
+indicator_weights = _Indicator
+power_law_weights = _PowerLaw
+monomial_weights = _Monomial
+explicit_weights = _Explicit
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +521,9 @@ class Ensemble:
             raise RegimeError(
                 "b_1 = 0: no normalization trade exists (part size 1 carries "
                 "no weight)")
-        exact = self.weights.exact_value(1)
-        factor = exact if exact is not None else b1
-        return Ensemble(self.series ** factor,
-                        self.weights.scaled(1 / factor if exact is None
-                                            else Fraction(1, 1) / factor),
+        exact = self.weights.exact_values(1)
+        factor = b1 if exact is None else exact[0]
+        return Ensemble(self.series ** factor, self.weights.scaled(1 / factor),
                         label=self.label + " (normalized)")
 
     # -- moments -----------------------------------------------------------

@@ -273,13 +273,8 @@ def _build(e: Ensemble, n_max: int, exact: bool) -> np.ndarray:
     common denominator D of the d_i. The last step divides the scaling out.
     """
     series = e.series
-    if exact:
-        bs = [e.weights.exact_value(k) for k in range(1, n_max + 1)]
-        if None in bs:
-            raise TableError(f"weight b_{bs.index(None) + 1} is not exactly "
-                             "representable; use float mode")
-    else:
-        bs = e.weights.values(np.arange(1, n_max + 1)).tolist()
+    bs = (e.weights.exact_values(n_max) if exact
+          else e.weights.values(np.arange(1, n_max + 1)).tolist())
     factors = [(k, b) for k, b in enumerate(bs, 1) if b != 0]
     a = np.zeros(n_max + 1, dtype=object if exact else np.longdouble)
     a[0] = s = r = 1
@@ -332,14 +327,14 @@ def _build(e: Ensemble, n_max: int, exact: bool) -> np.ndarray:
     return a
 
 
-def _factor_weights_float(e: Ensemble, k: int, n_max: int, x0: float) -> np.ndarray:
-    """Tilted factor coefficients wtilde_j = [z^j] f(z)^{b_k} * x0^{k j}.
+def _factor_weights_float(e: Ensemble, k: int, b: float, n_max: int,
+                          x0: float) -> np.ndarray:
+    """Tilted factor coefficients wtilde_j = [z^j] f(z)^b * x0^{k j}, b = b_k.
 
     Trailing entries below FACTOR_WEIGHT_CUT of the running maximum are
     dropped.
     """
     j_max = n_max // k
-    b = e.weights.value(k)
     tilt = x0 ** k
     if tilt == 0.0:
         # underflowed tilt: only the empty occupancy survives
@@ -365,11 +360,12 @@ def _build_prefix(e: Ensemble, n_max: int, x0: float):
     rows: list[np.ndarray] = [np.zeros(n_max + 1)]
     rows[0][0] = 1.0
     cur = rows[0]
-    for k in range(1, n_max + 1):
-        if e.weights.value(k) == 0.0:
+    bs = e.weights.values(np.arange(1, n_max + 1)).tolist()
+    for k, b in enumerate(bs, 1):
+        if b == 0.0:
             rows.append(cur)
             continue
-        w = _factor_weights_float(e, k, n_max, x0)
+        w = _factor_weights_float(e, k, b, n_max, x0)
         nxt = cur.copy()
         for j in range(1, len(w)):
             off = k * j

@@ -295,9 +295,10 @@ def prefix_walk_draw(e, table, n: int, gen) -> dict:
     for k in range(n, 0, -1):
         if m == 0:
             break
-        if k > m or e.weights.value(k) == 0.0:
+        b = e.weights.value(k)
+        if k > m or b == 0.0:
             continue
-        w = _factor_weights_float(e, k, table.n_max, table.x0)
+        w = _factor_weights_float(e, k, b, table.n_max, table.x0)
         j_hi = min(m // k, len(w) - 1)
         masses = w[:j_hi + 1] * table.prefix[k - 1][m - np.arange(j_hi + 1) * k]
         j = int(np.searchsorted(np.cumsum(masses), gen.random() * masses.sum(),

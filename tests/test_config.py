@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 import yaml
 
@@ -158,6 +159,21 @@ def test_declared_block():
                           "declared": {key: 0.5}})
 
 
+def test_declared_theta_scales_with_normalization():
+    # B_k = 2 k^1.5 with b_1 = 2; normalized, B_k = k^1.5, so theta = 1
+    cfg = parse_config({
+        "f": {"kind": "geometric", "weight": 1},
+        "weights": {"rule": "power_law", "theta": 2, "beta": 1.5},
+        "declared": {"theta": 2.0},
+        "normalize": True,
+    })
+    w = cfg.ensemble.weights
+    assert w.b_1 == 1.0
+    assert w.theta == 1.0
+    ks = np.array([1, 10, 1000])
+    assert np.allclose(w.prefix_sums(ks), w.theta * ks ** w.beta, rtol=1e-14)
+
+
 def test_module_docstring_examples_parse():
     import multpart.config
 
@@ -200,6 +216,8 @@ def test_modulus_part_set():
             "singularity": {"kind": "pole"}},
       "weights": {"rule": "constant"}}, "pole"),
     ({"f": {"kind": "geometric"}, "weights": {"rule": "fancy"}},
+     "weights.rule"),
+    ({"f": {"kind": "geometric"}, "weights": {"rule": ["constant"]}},
      "weights.rule"),
     ({"f": {"kind": "geometric"}, "weights": {"rule": "indicator"}},
      "weights.parts"),

@@ -74,13 +74,16 @@ def test_weight_values():
 
 def test_weight_validation():
     with pytest.raises(ParamError):
-        WeightSequence("mystery")
-    with pytest.raises(ParamError):
         power_law_weights(0, 1)
     with pytest.raises(ParamError):
         explicit_weights([])
     with pytest.raises(ParamError):
         explicit_weights([1, -2])
+    # each rule takes only its own parameters and the declared growth
+    with pytest.raises(TypeError):
+        constant_weights(theta=2)
+    with pytest.raises(TypeError):
+        power_law_weights(1, 2, coeff=3)
 
 
 def test_explicit_rationality_reads_every_value():
@@ -153,6 +156,30 @@ def test_block_bounds_cover_direct_sums(w, lo, hi):
     top = float(b.max()) if b.size else 0.0
     assert w.block_sum_upper(lo, hi) >= total * (1 - 1e-9)
     assert w.block_max_upper(lo, hi) >= top * (1 - 1e-9)
+
+
+@given(weight_sequences, st.lists(st.integers(1, 300), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_vector_reads_agree(w, picks):
+    ks = np.array(sorted(set(picks)))
+    n = int(ks.max())
+    b = w.values(np.arange(1, n + 1))
+    B = np.cumsum(b)[ks - 1]
+    if w.rule in ("constant", "power_law"):  # closed forms
+        assert w.prefix_sums(ks) == pytest.approx(B, rel=1e-9)
+    else:
+        assert w.prefix_sums(ks).tolist() == B.tolist()
+    exact = w.exact_values(n)
+    assert (exact is None) == (not w.is_rational)
+    if exact is None:
+        return
+    assert len(exact) == n and all(type(v) is Fraction for v in exact)
+    for k in ks.tolist():
+        v, f = exact[k - 1], w.values([k])[0]
+        if v.denominator == 1 and float(w.scale).is_integer():
+            assert float(v) == f
+        else:  # a float path rounds at each of its few steps
+            assert abs(Fraction(f) - v) <= v * Fraction(1, 2 ** 50)
 
 
 # -- moments -----------------------------------------------------------------

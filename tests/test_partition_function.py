@@ -82,11 +82,13 @@ def test_restricted_tables_match_enumeration():
 
 
 def test_weighted_table_counts_parts():
+    # enumeration stays at n <= 30; the naive product checks up to 50
     table = coefficients(make("weighted", y=2), 50)
     assert [int(v) for v in table.values[:6]] == [1, 2, 6, 14, 34, 74]
-    for n in range(51):
+    for n in range(31):
         want = weighted_partition_sum(n, lambda k, r: 2 ** r)
         assert int(table.values[n]) == want
+    assert list(table.values) == _product_table(2, 50)
 
 
 def test_ordered_lists_table_exact_rationals():
@@ -330,7 +332,7 @@ def test_keep_prefix_rows_and_factor_weights():
     assert table.prefix is not None
     assert len(table.prefix) == 41
     assert 0.0 < table.x0 < 1.0
-    w1 = _factor_weights_float(u, 1, 40, table.x0)
+    w1 = _factor_weights_float(u, 1, 1.0, 40, table.x0)
     assert w1[0] == 1.0 and w1[1] > 0.0
     # the last row is the whole product: a_m x0^m
     want = np.array([float(a) for a in table.values]) * table.x0 ** np.arange(41)
