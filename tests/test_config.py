@@ -217,8 +217,6 @@ def test_modulus_part_set():
       "weights": {"rule": "constant"}}, "pole"),
     ({"f": {"kind": "geometric"}, "weights": {"rule": "fancy"}},
      "weights.rule"),
-    ({"f": {"kind": "geometric"}, "weights": {"rule": ["constant"]}},
-     "weights.rule"),
     ({"f": {"kind": "geometric"}, "weights": {"rule": "indicator"}},
      "weights.parts"),
     ({"f": {"kind": "geometric"}, "weights": {"rule": "explicit"}},
@@ -233,6 +231,8 @@ def test_modulus_part_set():
       "label": 7}, "label"),
     ({"f": {"kind": "geometric"}}, "weights"),
     ({"weights": {"rule": "constant"}}, "f"),
+    ({"f": {"kind": "geometric"}, "weights": {"rule": ["constant"]}},
+     "weights.rule"),
 ])
 def test_explicit_document_errors(doc, needle):
     with pytest.raises(ConfigError, match=needle):
