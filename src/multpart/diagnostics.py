@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .asymptotics import limit_shape, solve_tilt
 from .ensemble import Ensemble, Regime
@@ -130,6 +130,7 @@ class ConcentrationPrediction:
 
     def hit_pvalues(self, measured, replicas: int) -> tuple[float, ...]:
         """Two-sided exact binomial p-value of each measured hit fraction."""
+        from scipy import stats  # slow to import; only this method needs it
         return tuple(
             float(stats.binomtest(round(h * replicas), replicas,
                                   min(max(p, 0.0), 1.0)).pvalue)

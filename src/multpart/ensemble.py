@@ -58,16 +58,17 @@ class PartSet:
     """A set of part sizes, used by indicator weight rules.
 
     Built from "evens"/"odds", a modulus with residues, an explicit finite
-    collection, or a predicate callable. Supplies a vectorized mask (scalar
-    membership reads it too) and a natural-density estimate.
+    collection (end is its largest member), or a predicate callable. Has a
+    vectorized mask (scalar membership reads it too) and a density estimate.
     """
 
     def __init__(self, label: str, mask: Callable[[np.ndarray], np.ndarray],
-                 density: float | None, finite: bool):
+                 density: float | None, end: int | None = None):
         self.label = label
         self.mask = mask
         self.density = density
-        self.finite = finite
+        self.end = end
+        self.finite = end is not None
 
     @classmethod
     def from_spec(cls, spec) -> "PartSet":
@@ -98,8 +99,7 @@ class PartSet:
         lbl = label or f"mod {modulus} residues {rs}"
         table = np.zeros(modulus, dtype=bool)
         table[rs] = True
-        return cls(lbl, lambda ks: table[ks % modulus], len(rs) / modulus,
-                   finite=False)
+        return cls(lbl, lambda ks: table[ks % modulus], len(rs) / modulus)
 
     @classmethod
     def explicit(cls, members: Iterable[int]) -> "PartSet":
@@ -108,13 +108,13 @@ class PartSet:
             raise ParamError("explicit part set needs members >= 1")
         marr = np.array(sorted(mset))
         return cls(f"set of {len(mset)}", lambda ks: np.isin(ks, marr), 0.0,
-                   finite=True)
+                   end=int(marr[-1]))
 
     @classmethod
     def predicate(cls, fn: Callable[[int], bool]) -> "PartSet":
         def mask(ks: np.ndarray) -> np.ndarray:
             return np.fromiter((bool(fn(int(k))) for k in ks), bool, len(ks))
-        return cls("predicate", mask, None, finite=False)
+        return cls("predicate", mask, None)
 
     def estimated_density(self, k_max: int = 1 << 14) -> float:
         if self.density is not None:
@@ -276,6 +276,7 @@ class _Indicator(WeightSequence):
         super().__init__(**declared)
         self.part_set = PartSet.from_spec(part_set)
         self.finite_support = self.part_set.finite
+        self.support_end = self.part_set.end
         self.implied_beta = None if self.finite_support else 1.0
         self._args = f"({self.part_set!r})"
 
@@ -353,7 +354,10 @@ class _Monomial(WeightSequence):
         self._args = f"({coeff}*k^{power})"
 
     def _values(self, ks):
-        return float(self.coeff) * ks.astype(float) ** float(self.power)
+        c, p = float(self.coeff), float(self.power)
+        if p < 0.0 and p.is_integer():  # c / k^-p rounds once, c k^p twice
+            return c / ks.astype(float) ** -p
+        return c * ks.astype(float) ** p
 
     def _exact_values(self, n):
         c, p = _as_exact(self.coeff), _as_exact(self.power)

@@ -18,13 +18,19 @@ A pdc attempt draws only its nonzero counts, as a Poisson process over
 the sizes (CountLaw.draw_sparse; sample_small_pdc gives the rates by
 series kind). Rejection and grand draws keep one dense row of all k*
 counts.
+
+An exact step picks its size i in Python floats up to m = _SCALAR_WINDOW
+while no rescale applies, else in numpy vectors, the same bits in O(m);
+the split i = k j reads divisors up to sqrt(i) and a per-plan x^e table.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy import special
@@ -61,6 +67,8 @@ CDF_MAX_TERMS = 10 ** 6
 # batches sized to roughly 2^21 matrix cells, or expected points of a
 # sparse draw, keep memory modest while amortizing generator call overhead
 _BATCH_CELLS = 1 << 21
+# longest window of the recursive method picked in scalar code, not numpy
+_SCALAR_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -587,7 +595,8 @@ def sample_small_pdc(e: Ensemble, n: int, rng: RngStream,
 
 class _RecursivePlan:
     """The recursive method's tables for weight n, built once at x = x_n:
-    p_m ~ v_m exp(shift_m) (_mass_recurrence), c_i, kb_k = k b_k, nu_j."""
+    p_m ~ v_m exp(shift_m) (_mass_recurrence), c_i, kb_k = k b_k, nu_j,
+    xpow_e = x^e, and the heads of c and v as lists for scalar windows."""
 
     def __init__(self, e: Ensemble, n: int):
         if n < 0:
@@ -608,15 +617,21 @@ class _RecursivePlan:
             raise EmptySupportError(
                 f"no partition of {n} has positive mass in this ensemble",
                 attempts=0, budget=0, acceptance_estimate=0.0)
-        self.ks = np.arange(1, n + 1)
-        self.kb = self.ks * e.weights.values(self.ks)
+        ks = np.arange(1, n + 1)
+        self.kb = ks * e.weights.values(ks)
+        self.xpow = np.power(self.x, np.arange(n, dtype=np.float64))
+        self._v_rev = self.v[::-1].copy()
+        # scalar windows end at _SCALAR_WINDOW and before the first rescale
+        self._top = min(_SCALAR_WINDOW, int(np.searchsorted(
+            self.shift, 0.0, side="right")) - 1)
+        self._c_head = self.c[:self._top + 1].tolist()
+        self._v_head = self.v[:self._top].tolist()
 
     @staticmethod
-    def _pick(gen: np.random.Generator, w: np.ndarray) -> int:
-        """Index t with probability w_t / sum(w): u sum(w) < sum(w), u < 1."""
-        cum = np.cumsum(w)
-        t = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
-        if t == cum.size:
+    def _pick(gen: np.random.Generator, cum) -> int:
+        """Index t drawn with probability (cum_t - cum_{t-1}) / cum[-1]."""
+        t = bisect_right(cum, gen.random() * cum[-1])
+        if t == len(cum):
             raise TableError("recursive method: every weight vanished")
         return t
 
@@ -627,16 +642,25 @@ class _RecursivePlan:
         while m:
             # size i with probability c_i p_{m-i} / (m p_m); the masses
             # below lo, at a lower shift, are brought to that of m
-            w = self.c[1:m + 1] * self.v[m - 1::-1]
-            lo = int(np.searchsorted(self.shift, self.shift[m]))
-            if lo:
-                w[m - lo:] *= np.exp(self.shift[lo - 1::-1] - self.shift[m])
-            i = self._pick(gen, w) + 1
-            ks = self.ks[:i][i % self.ks[:i] == 0]
-            js = i // ks
-            t = self._pick(gen, self.kb[ks - 1] * self.nu[js] * np.power(
-                self.x, ((ks - 1) * js).astype(np.float64)))
-            counts[int(ks[t])] = counts.get(int(ks[t]), 0) + int(js[t])
+            if m <= self._top:
+                c, v = self._c_head, self._v_head
+                cum = list(accumulate([c[i] * v[m - i]
+                                       for i in range(1, m + 1)]))
+            else:
+                w = self.c[1:m + 1] * self._v_rev[self.n + 1 - m:]
+                sh = self.shift
+                lo = int(np.searchsorted(sh, sh[m]))
+                if lo:
+                    w[m - lo:] *= np.exp(sh[lo - 1::-1] - sh[m])
+                cum = np.cumsum(w)
+            i = self._pick(gen, cum) + 1
+            # i = k j, k ascending, with weight k b_k nu_j x^{(k-1) j}
+            ks = [k for k in range(1, math.isqrt(i) + 1) if i % k == 0]
+            ks += [i // k for k in reversed(ks) if k * k != i]
+            k = ks[self._pick(gen, list(accumulate(
+                [self.kb[k - 1] * self.nu[i // k] * self.xpow[i - i // k]
+                 for k in ks])))]
+            counts[k] = counts.get(k, 0) + i // k
             m -= i
         return Partition(dict(sorted(counts.items())), self.n)
 
@@ -652,7 +676,8 @@ def sample_small_exact(e: Ensemble, n: int, rng: RngStream) -> Partition:
     proportional to k b_k nu_j x^{(k-1)j}, nu_j = mu_j x^j; m drops by i
     until it is 0. The split needs every nu_j >= 0 (geometric and
     exponential series and their powers: every catalog ensemble), else
-    ParamError points to mode 'pdc'. O(n) memory, O(m) a step.
+    ParamError points to mode 'pdc'. O(n) memory; a step costs O(m) for i,
+    in scalar code up to m = _SCALAR_WINDOW, and O(sqrt i) for the split.
     """
     return _RecursivePlan(e, n).draw(rng)
 

@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .asymptotics import limit_shape, omega, solve_tilt, symmetric_rescale
 from .catalog import make
@@ -212,6 +211,7 @@ def _partitions_of(n: int) -> list:
 
 
 def criterion_small_canonical(seed: int | None = None) -> CriterionResult:
+    from scipy import stats  # slow to import; only this criterion needs it
     t0 = time.perf_counter()
     seed = 12 if seed is None else seed
     uni = make("uniform")

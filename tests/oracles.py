@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: enumeration, term-by-term series
 arithmetic, and O(n^2) convolutions, written without touching the package
-internals so a bug cannot hide in shared code. Two exceptions replay a
+internals so a bug cannot hide in shared code. Three exceptions replay a
 sampler's former method on the package's own data, so that the method
 that replaced it can be checked against it: dense_pdc_draw runs the
 sampler's count laws through the dense divide-and-conquer attempt, which
-draws every count, and prefix_walk_draw walks the tilted prefix rows of a
-coefficient table.
+draws every count, prefix_walk_draw walks the tilted prefix rows of a
+coefficient table, and recursive_vector_draw runs every step of the
+recursive method in numpy vectors.
 """
 
 from __future__ import annotations
@@ -310,3 +311,39 @@ def prefix_walk_draw(e, table, n: int, gen) -> dict:
     if m:
         raise RuntimeError("prefix rows inconsistent: residual not exhausted")
     return counts
+
+
+def _pick_index(gen, w) -> int:
+    cum = np.cumsum(w)
+    t = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
+    if t == cum.size:
+        raise RuntimeError("recursive method: every weight vanished")
+    return t
+
+
+def recursive_vector_draw(plan, gen) -> dict:
+    """One draw of the recursive method, every step in numpy vectors.
+
+    plan is the sampler's recursive plan for weight plan.n: its tilt x, its
+    c_i, its masses p_m ~ v_m exp(shift_m), kb_k = k b_k and nu_j. From
+    m = n, the size i is picked over the window c_i p_{m-i}, the masses
+    at a lower shift being brought to that of m, and split as i = k j over
+    a divisor mask with weights k b_k nu_j x^{(k-1) j}. Returns {k: R_k}
+    over the nonzero counts.
+    """
+    counts = {}
+    sizes = np.arange(1, plan.n + 1)
+    m = plan.n
+    while m:
+        w = plan.c[1:m + 1] * plan.v[m - 1::-1]
+        lo = int(np.searchsorted(plan.shift, plan.shift[m]))
+        if lo:
+            w[m - lo:] *= np.exp(plan.shift[lo - 1::-1] - plan.shift[m])
+        i = _pick_index(gen, w) + 1
+        ks = sizes[:i][i % sizes[:i] == 0]
+        js = i // ks
+        t = _pick_index(gen, plan.kb[ks - 1] * plan.nu[js] * np.power(
+            plan.x, ((ks - 1) * js).astype(np.float64)))
+        counts[int(ks[t])] = counts.get(int(ks[t]), 0) + int(js[t])
+        m -= i
+    return dict(sorted(counts.items()))

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import multpart
 from multpart import verify
 from multpart.cli import main
 
@@ -35,6 +40,18 @@ def test_help_lists_all_subcommands():
     assert res.exit_code == 0
     for name in ("shape", "sample", "tilt", "coeffs", "verify"):
         assert name in res.output
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is most of a cold start; only criterion 6 and
+    # hit_pvalues import it, when they run
+    src = str(Path(multpart.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, multpart; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- shape -------------------------------------------------------------------

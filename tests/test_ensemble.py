@@ -72,6 +72,17 @@ def test_weight_values():
     assert ex.finite_support and ex.support_end == 3
 
 
+def test_monomial_negative_power_rounds_once():
+    # b_k = c / k^-p is the correctly rounded value of the Fraction
+    assert monomial_weights(3, -1).value(5) == 0.6
+    ks = np.arange(1, 2001)
+    for c in (3, 7, Fraction(7, 2)):
+        for p in (-1, -2, -3):
+            w = monomial_weights(c, p)
+            assert w.values(ks).tolist() == [float(b) for b in
+                                             w.exact_values(ks.size)]
+
+
 def test_weight_validation():
     with pytest.raises(ParamError):
         power_law_weights(0, 1)
@@ -174,9 +185,13 @@ def test_vector_reads_agree(w, picks):
     if exact is None:
         return
     assert len(exact) == n and all(type(v) is Fraction for v in exact)
+    # a monomial of whole power rounds b_k once, c k^p or c / k^-p, and a
+    # power-of-two scale adds no rounding
+    once = (w.rule == "monomial" and float(w.power).is_integer()
+            and math.frexp(float(w.scale))[0] == 0.5)
     for k in ks.tolist():
         v, f = exact[k - 1], w.values([k])[0]
-        if v.denominator == 1 and float(w.scale).is_integer():
+        if once or (v.denominator == 1 and float(w.scale).is_integer()):
             assert float(v) == f
         else:  # a float path rounds at each of its few steps
             assert abs(Fraction(f) - v) <= v * Fraction(1, 2 ** 50)

@@ -418,6 +418,19 @@ def test_product_tail_cutoff_certificate():
     assert product_tail_cutoff(fin, 0.9) == 3
 
 
+def test_finite_indicator_stops_at_its_largest_member():
+    # an indicator on a finite set ends where the matching explicit list
+    # ends, not where the tail bound of an infinite rule would stop
+    squares = [1, 4, 9, 16]
+    ind = Ensemble(GeometricSeries(1), indicator_weights(squares))
+    exp = Ensemble(GeometricSeries(1), explicit_weights(
+        [float(k in squares) for k in range(1, 17)]))
+    assert ind.weights.support_end == 16
+    assert product_tail_cutoff(ind, 0.999) == 16
+    assert product_tail_cutoff(exp, 0.999) == 16
+    assert log_partition_value(ind, 0.999) == log_partition_value(exp, 0.999)
+
+
 # ---------------------------------------------------------------------------
 # point masses
 

@@ -31,7 +31,10 @@ from multpart import (
     solve_tilt,
 )
 
-from oracles import dense_pdc_draw, partitions_into, prefix_walk_draw
+from multpart import partition_function
+from multpart.sampler import _SCALAR_WINDOW, _RecursivePlan
+from oracles import (dense_pdc_draw, partitions_into, prefix_walk_draw,
+                     recursive_vector_draw)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +484,8 @@ EXACT_LAWS = [
     ("weighted", {"y": 2}, 6, lambda k, r: 2.0 ** r),
     ("gibbs", {"theta": 1, "beta": 1}, 6, _gibbs_weight),
     ("restricted", {"parts": "odds"}, 9, lambda k, r: float(k % 2 or r == 0)),
+    # the Ewens sampling formula: exp(z) with b_k = theta / k
+    ("ewens", {"theta": 2}, 7, lambda k, r: (2 / k) ** r / math.factorial(r)),
 ]
 
 
@@ -510,6 +515,43 @@ def test_exact_matches_prefix_walk(name):
     table = np.array([[ca.get(p, 0) for p in support],
                       [cb.get(p, 0) for p in support]])
     assert stats.chi2_contingency(table).pvalue > 0.01
+
+
+def _assert_matches_vector_reference(e, n, streams, seed=150):
+    plan = _RecursivePlan(e, n)
+    for i in range(streams):
+        want = recursive_vector_draw(plan, RngStream(seed, i).generator())
+        assert plan.draw(RngStream(seed, i)).counts == want, (n, i)
+
+
+REFERENCE_LAWS = [("uniform", {}), ("weighted", {"y": 2}),
+                  ("weighted", {"y": 0.5}), ("restricted", {"parts": "odds"}),
+                  ("gibbs", {"theta": 1, "beta": 1}), ("ewens", {"theta": 2})]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 37, _SCALAR_WINDOW,
+                               _SCALAR_WINDOW + 1, 300, 2000])
+@pytest.mark.parametrize("name,params", REFERENCE_LAWS,
+                         ids=["uniform", "weighted-2", "weighted-0.5", "odds",
+                              "gibbs", "ewens-2"])
+def test_exact_matches_vector_reference(name, params, n):
+    # scalar windows and divisor splits against the all-vector loop: the
+    # same partition from every stream
+    _assert_matches_vector_reference(make(name, **params), n, 100)
+
+
+def test_exact_matches_vector_reference_across_rescales(monkeypatch):
+    # gibbs(5000, 1) at n = 1000 rescales its masses, so the windows from
+    # m = n down take the rescale branch
+    e = make("gibbs", theta=5000, beta=1)
+    assert _RecursivePlan(e, 1000).shift[-1] > 0.0
+    _assert_matches_vector_reference(e, 1000, 20)
+    # a low rescale threshold ends the scalar windows at the first shift,
+    # below _SCALAR_WINDOW
+    monkeypatch.setattr(partition_function, "_RESCALE", 1e20)
+    e = make("gibbs", theta=1000, beta=1)
+    assert _RecursivePlan(e, 300).shift[_SCALAR_WINDOW] > 0.0
+    _assert_matches_vector_reference(e, 300, 100)
 
 
 def test_exact_needs_nonnegative_log_coefficients():
