@@ -13,6 +13,7 @@ recursive method in numpy vectors.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import count
 
@@ -218,6 +219,22 @@ def direct_mean_var(b_of_k, g_ratio, x: float, k_max: int):
         mean += k * b * u * h
         var += k * k * b * (u * h + u * u * hp)
     return mean, var
+
+
+def fsum_mean(b_of_k, h, x: float, k_max: int | None = None) -> float:
+    """E N at tilt x: math.fsum of the per-size terms k b_k u h(u), u = x^k.
+
+    The sizes run up to k_max, or else until x^k < 1e-30; h = f'/f. The
+    sum is correctly rounded, so it checks a mean without sharing the
+    package's summation order.
+    """
+    terms = []
+    for k in count(1):
+        u = x ** k
+        if u < 1e-30 or (k_max is not None and k > k_max):
+            break
+        terms.append(k * b_of_k(k) * u * h(u))
+    return math.fsum(terms)
 
 
 def term_loop_bundle(coefficient, u: float, n_terms: int | None = None):

@@ -30,7 +30,7 @@ from multpart import (
 
 from multpart import asymptotics
 
-from oracles import dilog_series, mp_shape_constants
+from oracles import dilog_series, fsum_mean, mp_shape_constants
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +451,27 @@ def test_tilt_solve_bit_identical(name, n):
     x_n, mean, var, iterations = TILT_GOLDEN[name, n]
     assert (sol.x_n.hex(), sol.mean.hex(), sol.variance.hex(),
             sol.iterations) == (x_n, mean, var, iterations)
+
+
+# per family: b_k, h = f'/f and the last size, in closed form
+TILT_ORACLE = {
+    "uniform": (lambda k: 1, lambda u: 1.0 / (1.0 - u), None),
+    "weighted": (lambda k: 1, lambda u: 0.5 / (1.0 - 0.5 * u), None),
+    "restricted": (lambda k: k % 2, lambda u: 1.0 / (1.0 - u), None),
+    "gibbs11": (lambda k: 1, lambda u: 1.0, None),
+    "gibbs205": (lambda k: 2.0 / math.sqrt(k), lambda u: 1.0, None),
+    "strict": (lambda k: 1, lambda u: 1.0 / (1.0 + u), None),
+    "weighted2": (lambda k: 1, lambda u: 2.0 / (1.0 - 2.0 * u), None),
+    "explicit5": (lambda k: 1, lambda u: 1.0 / (1.0 - u), 5),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(TILT_GOLDEN))
+def test_tilt_golden_meets_its_contract_by_fsum(name, n):
+    # the recorded x_n solves mean_N = n by a correctly rounded sum
+    b_of_k, h, k_max = TILT_ORACLE[name]
+    x_n = float.fromhex(TILT_GOLDEN[name, n][0])
+    assert abs(fsum_mean(b_of_k, h, x_n, k_max) - n) <= 1e-10 * n
 
 
 @pytest.mark.parametrize("name,n", [("weighted2", 3_160_000),
