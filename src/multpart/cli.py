@@ -165,6 +165,8 @@ def cmd_tilt(ens, n):
                         ("variance", sol.variance),
                         ("residual", sol.residual)):
         click.echo(f"{name} = {_fmt_float(value)}")
+    click.echo(f"iterations = {sol.iterations}")
+    click.echo(f"walks = {sol.walks}")
 
 
 @main.command("coeffs")

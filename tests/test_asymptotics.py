@@ -379,58 +379,59 @@ def test_tilt_nonergodic_pole_gap():
     assert sol.residual <= 1e-10 * 10 ** 4
 
 
-# x_n, mean, variance (float.hex) and iterations of solve_tilt: any change
-# to the order of a moment term or to a stop test shows as a changed bit
+# x_n, mean, variance (float.hex), iterations and walks of solve_tilt: any
+# change to the order of a moment term, to a stop test or to where Newton
+# starts shows as a changed bit or count
 TILT_GOLDEN = {
-    ("uniform", 100): ("0x1.c3798d171d93bp-1", "0x1.900000002c866p+6",
-        "0x1.952c345d617d4p+10", 7),
+    ("uniform", 100): ("0x1.c3798d171a7a5p-1", "0x1.9000000000064p+6",
+        "0x1.952c345d1ebc2p+10", 5, 7),
     ("uniform", 10000): ("0x1.f97ce6298dacap-1", "0x1.388000000002fp+13",
-        "0x1.7e325f00065e7p+20", 7),
-    ("uniform", 1000000): ("0x1.ff5808bb0f4f2p-1", "0x1.e847fffffffe5p+19",
-        "0x1.73eef0b0e1673p+30", 7),
-    ("weighted", 100): ("0x1.da667f8d1aea0p-1", "0x1.9000000000068p+6",
-        "0x1.480ad540a34bfp+11", 7),
+        "0x1.7e325f00065e7p+20", 4, 6),
+    ("uniform", 1000000): ("0x1.ff5808bb0f505p-1", "0x1.e848000006e76p+19",
+        "0x1.73eef0b0e94c4p+30", 3, 5),
+    ("weighted", 100): ("0x1.da667f8d1ae9bp-1", "0x1.8fffffffffffap+6",
+        "0x1.480ad540a3437p+11", 5, 7),
     ("weighted", 10000): ("0x1.fc1bab5f82490p-1", "0x1.387fffffffff9p+13",
-        "0x1.3ff57dd9f8238p+21", 7),
-    ("weighted", 1000000): ("0x1.ff9c0629a2272p-1", "0x1.e847ffffffe8ap+19",
-        "0x1.3874bf810fe34p+31", 7),
-    ("restricted", 100): ("0x1.d39e6d10c389dp-1", "0x1.9000000000186p+6",
-        "0x1.13d635a3158e5p+11", 7),
+        "0x1.3ff57dd9f8238p+21", 4, 6),
+    ("weighted", 1000000): ("0x1.ff9c0629a2273p-1", "0x1.e848000000850p+19",
+        "0x1.3874bf8110796p+31", 3, 5),
+    ("restricted", 100): ("0x1.d39e6d10c3888p-1", "0x1.8fffffffffffap+6",
+        "0x1.13d635a31574cp+11", 5, 7),
     ("restricted", 10000): ("0x1.fb60af4cc6309p-1", "0x1.3880000000019p+13",
-        "0x1.0d348aeb5d335p+21", 7),
-    ("restricted", 1000000): ("0x1.ff892f4a9cd6ep-1", "0x1.e847ffffffd92p+19",
-        "0x1.06e4e50f0c805p+31", 7),
-    ("gibbs11", 100): ("0x1.cf4bc9462fe84p-1", "0x1.900000000038ap+6",
-        "0x1.f49fe66e94b20p+10", 7),
+        "0x1.0d348aeb5d335p+21", 4, 6),
+    ("restricted", 1000000): ("0x1.ff892f4a9cd6fp-1", "0x1.e8480000005cbp+19",
+        "0x1.06e4e50f0ceaap+31", 3, 5),
+    ("gibbs11", 100): ("0x1.cf4bc9462fe50p-1", "0x1.9000000000007p+6",
+        "0x1.f49fe66e9448ep+10", 5, 7),
     ("gibbs11", 10000): ("0x1.fae7d13513119p-1", "0x1.387fffffffff6p+13",
-        "0x1.e8498fff5c275p+20", 7),
-    ("gibbs11", 1000000): ("0x1.ff7cfe574d32bp-1", "0x1.e847ffffffcc3p+19",
-        "0x1.dcd653e7f96eep+30", 7),
-    ("gibbs205", 100): ("0x1.de709a001997bp-1", "0x1.9000000000005p+6",
-        "0x1.15b4d43510f3bp+11", 7),
-    ("gibbs205", 10000): ("0x1.fe631538ccdf6p-1", "0x1.387ffffffffb3p+13",
-        "0x1.222b56462a8b4p+22", 7),
+        "0x1.e8498fff5c275p+20", 4, 6),
+    ("gibbs11", 1000000): ("0x1.ff7cfe574d32dp-1", "0x1.e848000000badp+19",
+        "0x1.dcd653e7facc8p+30", 3, 5),
+    ("gibbs205", 100): ("0x1.de709a001c414p-1", "0x1.900000003173bp+6",
+        "0x1.15b4d43549f07p+11", 4, 6),
+    ("gibbs205", 10000): ("0x1.fe631538ccf68p-1", "0x1.388000001a46bp+13",
+        "0x1.222b5646533c3p+22", 3, 5),
     ("gibbs205", 1000000): ("0x1.ffecce019ee72p-1", "0x1.e848000000a0cp+19",
-        "0x1.313a7d37149e4p+33", 7),
-    ("strict", 100): ("0x1.d39e6d10c389dp-1", "0x1.9000000000185p+6",
-        "0x1.13d635a3158e5p+11", 7),
+        "0x1.313a7d37149e4p+33", 3, 5),
+    ("strict", 100): ("0x1.d39e6d10c3888p-1", "0x1.8fffffffffffap+6",
+        "0x1.13d635a31574bp+11", 5, 7),
     ("strict", 10000): ("0x1.fb60af4cc6309p-1", "0x1.388000000000ep+13",
-        "0x1.0d348aeb5d29bp+21", 7),
-    ("strict", 1000000): ("0x1.ff892f4a9cd78p-1", "0x1.e848000000213p+19",
-        "0x1.06e4e50f0f6bfp+31", 7),
+        "0x1.0d348aeb5d29bp+21", 4, 6),
+    ("strict", 1000000): ("0x1.ff892f4a9cd79p-1", "0x1.e848000000a4bp+19",
+        "0x1.06e4e50f0fd60p+31", 3, 5),
     # the nonergodic "delta" guess and the generic probe of _bracket
-    ("weighted2", 100): ("0x1.fab69d24e9123p-2", "0x1.90000000001a0p+6",
-        "0x1.22a8c835f140bp+13", 6),
-    ("weighted2", 10000): ("0x1.fff2e36ec9c33p-2", "0x1.38800000034d7p+13",
-        "0x1.7d2d1cc24ef9ap+26", 6),
+    ("weighted2", 100): ("0x1.fab69d24e9177p-2", "0x1.90000000019b7p+6",
+        "0x1.22a8c835f383fp+13", 4, 6),
+    ("weighted2", 10000): ("0x1.fff2e36ec9c31p-2", "0x1.3880000000530p+13",
+        "0x1.7d2d1cc247b4fp+26", 3, 5),
     ("weighted2", 1000000): ("0x1.ffffde7209605p-2", "0x1.e8480000513cbp+19",
-        "0x1.d1a85f198a0fbp+39", 6),
+        "0x1.d1a85f198a0fbp+39", 2, 4),
     ("explicit5", 100): ("0x1.e8afa73c13cc7p-1", "0x1.9000000001130p+6",
-        "0x1.1f302e1fd4af0p+11", 4),
+        "0x1.1f302e1fd4af0p+11", 4, 9),
     ("explicit5", 10000): ("0x1.ffbe878a7d00ap-1", "0x1.388000000021cp+13",
-        "0x1.31a22d80004cep+24", 7),
+        "0x1.31a22d80004cep+24", 7, 18),
     ("explicit5", 1000000): ("0x1.ffff583ac1ac1p-1", "0x1.e84800000392cp+19",
-        "0x1.7488dcb5f173cp+37", 5),
+        "0x1.7488dcb5f173cp+37", 5, 23),
 }
 
 TILT_FAMILIES = {
@@ -448,9 +449,8 @@ TILT_FAMILIES = {
 @pytest.mark.parametrize("name,n", sorted(TILT_GOLDEN))
 def test_tilt_solve_bit_identical(name, n):
     sol = solve_tilt(TILT_FAMILIES[name](), n)
-    x_n, mean, var, iterations = TILT_GOLDEN[name, n]
-    assert (sol.x_n.hex(), sol.mean.hex(), sol.variance.hex(),
-            sol.iterations) == (x_n, mean, var, iterations)
+    assert (sol.x_n.hex(), sol.mean.hex(), sol.variance.hex(), sol.iterations,
+            sol.walks) == TILT_GOLDEN[name, n]
 
 
 # per family: b_k, h = f'/f and the last size, in closed form
@@ -472,6 +472,17 @@ def test_tilt_golden_meets_its_contract_by_fsum(name, n):
     b_of_k, h, k_max = TILT_ORACLE[name]
     x_n = float.fromhex(TILT_GOLDEN[name, n][0])
     assert abs(fsum_mean(b_of_k, h, x_n, k_max) - n) <= 1e-10 * n
+
+
+@pytest.mark.parametrize("name", ["uniform", "weighted", "restricted",
+                                  "gibbs11", "gibbs205", "strict",
+                                  "weighted2"])
+@pytest.mark.parametrize("n", [10 ** 2, 10 ** 4, 10 ** 6])
+def test_tilt_newton_starts_at_the_regime_guess(name, n):
+    # from the scaling guess Newton needs a few steps; from the bracket
+    # midpoint it took 7 (6 on weighted2)
+    sol = solve_tilt(TILT_FAMILIES[name](), n)
+    assert sol.iterations <= (4 if name == "weighted2" else 5)
 
 
 @pytest.mark.parametrize("name,n", [("weighted2", 3_160_000),

@@ -253,7 +253,7 @@ def test_tilt_prints_labeled_solution():
         name, _, text = line.partition(" = ")
         values[name] = float(text)
     assert list(values) == ["x_n", "tau_n", "alpha", "mean", "variance",
-                            "residual"]
+                            "residual", "iterations", "walks"]
     assert 0.85 < values["x_n"] < 0.90
     assert values["tau_n"] == pytest.approx(1.0 - values["x_n"])
     assert values["mean"] == pytest.approx(100.0, rel=1e-6)
