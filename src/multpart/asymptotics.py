@@ -394,25 +394,26 @@ def _bracket(e: Ensemble, n: int, probe) -> tuple[float, float, float]:
     and the point inside it where Newton starts. probe(x) is the mean at x
     walked with stop_above=n.
 
-    An ergodic ensemble has the scaling guess 1 - tau0, with tau0 =
-    (theta Omega / n)^(1/(beta+1)) the leading saddle-point term, whose
-    relative error is O(n^(-1/(beta+1))); a nonergodic pole has rho - delta0,
-    delta0 = rho m b_1 / n. The bracket starts four times either side of
-    the guess's distance below the right end and widens geometrically only
-    as far as needed, and Newton starts at the guess itself (at the
-    midpoint should rounding put it outside). Near 1 a full mean costs
-    O(1/(1-x)) terms, so every probe stops once its running total passes
-    n: the upper probe, at 1 - tau0/4, walks about as many sizes as one
-    Newton step. A probe only compares the mean with n, and the partial
-    sum compares as the full one would (Ensemble.mean_N), so lo and hi do
-    not depend on the stop.
+    An ergodic ensemble has the scaling guess 1 - tau0, where tau0 =
+    (theta Omega / n)^(1/(beta+1)) is the leading saddle-point term and has
+    relative error O(n^(-1/(beta+1))). A nonergodic pole of order m has
+    rho (1 - delta0), with delta0 = min(1/4, m b_1 / n). The bracket
+    starts at four times and a quarter of the guess's distance below the
+    right end and widens geometrically only as far as needed; Newton starts
+    at the guess itself, or at the midpoint should rounding put the guess
+    outside. Near 1 a full mean costs O(1/(1-x)) terms, so every probe
+    stops once its running total passes n: the upper probe, at 1 - tau0/4,
+    walks about as many sizes as one Newton step. A probe only compares the
+    mean with n, and the partial sum compares as the full one would
+    (Ensemble.mean_N), so lo and hi do not depend on the stop.
 
-    Without a guess (finite support, no growth exponent) probes double
-    toward rho and Newton starts at the midpoint of the last pair.
+    Without a guess (out-of-scope regimes such as finite support, or tau0 of
+    1/2 or more) probes approach rho by halving the distance to it, and
+    Newton starts at the midpoint of the last two.
     """
     rho = e.rho
     regime = e.regime
-    guess = None
+    guess = None  # (right end, distance of the guess below it)
     if regime.ergodic:
         try:
             beta = _growth_beta(e)
@@ -420,18 +421,17 @@ def _bracket(e: Ensemble, n: int, probe) -> tuple[float, float, float]:
             if theta is not None and theta > 0:
                 tau0 = (omega(e) * theta / n) ** (1.0 / (beta + 1.0))
                 if 0.0 < tau0 < 0.5:
-                    guess = ("tau", tau0)
+                    guess = (1.0, tau0)
         except (RegimeError, QuadratureError):
             guess = None
     elif regime is Regime.NONERGODIC_GRAND_CANONICAL:
         m = e.series.singularity.order or 1.0
         b1 = max(e.weights.b_1, 1e-6)
         delta0 = min(0.25, b1 * m / n)
-        guess = ("delta", rho * delta0)
+        guess = (rho, rho * delta0)
 
     if guess is not None:
-        kind, d0 = guess
-        end = rho if kind == "delta" else 1.0  # the guess lies d0 below it
+        end, d0 = guess
         lo_d, hi_d = 4.0 * d0, d0 / 4.0  # distances below the end
         for _ in range(80):
             lo = end - lo_d
@@ -474,11 +474,11 @@ def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
     monotonicity of the mean makes valid.
 
     Newton starts at the regime's scaling guess (see _bracket), a few steps
-    from the root: 3-5 on the catalog families at n from 1e2 to 1e6, where
-    the bracket midpoint took 7. Where the mean is convex in x, as it is
-    for the catalog families, a tangent never lands below the root, so a
-    start below it overshoots once and every later step descends
-    monotonically. Without a guess, Newton starts at the bracket midpoint.
+    from the root: 3-5 on the catalog families at n from 1e2 to 1e6. Where
+    the mean is convex in x, as it is for the catalog families, a tangent
+    never lands below the root, so a start below it overshoots once and
+    every later step descends monotonically. Without a guess, Newton starts
+    at the bracket midpoint.
 
     Float resolution sets a floor. Near a pole, one ulp of x can move the
     mean by more than rel_tol * n (weighted(y=2) from n of about 3e6 on).

@@ -479,8 +479,8 @@ def test_tilt_golden_meets_its_contract_by_fsum(name, n):
                                   "weighted2"])
 @pytest.mark.parametrize("n", [10 ** 2, 10 ** 4, 10 ** 6])
 def test_tilt_newton_starts_at_the_regime_guess(name, n):
-    # from the scaling guess Newton needs a few steps; from the bracket
-    # midpoint it took 7 (6 on weighted2)
+    # from the scaling guess Newton needs a few steps; a start at the
+    # bracket midpoint takes 7 (6 on weighted2)
     sol = solve_tilt(TILT_FAMILIES[name](), n)
     assert sol.iterations <= (4 if name == "weighted2" else 5)
 
