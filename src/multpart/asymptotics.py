@@ -484,7 +484,8 @@ def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
     mean by more than rel_tol * n (weighted(y=2) from n of about 3e6 on).
     Once no float lies strictly between the bracket endpoints, the solve
     stops and returns the endpoint whose mean lies closer to n; its
-    residual then exceeds rel_tol * n and says by how much.
+    residual then exceeds rel_tol * n and says by how much. A Newton step
+    under half an ulp moves to the neighbouring float toward the root.
 
     Each step takes mean and variance from one pass over the size blocks
     (Ensemble.mean_var); the blocks' k-only arrays are kept for this solve
@@ -540,6 +541,8 @@ def _newton_tilt(e: Ensemble, n: int, rel_tol: float,
         prev_res = abs(res)
         step = -res * x / var if var > 0.0 else 0.0
         cand = x + step
+        if cand == x:  # a step under half an ulp: the neighbour toward root
+            cand = math.nextafter(x, -math.inf if res > 0.0 else math.inf)
         if lo < cand < hi and step != 0.0:
             x = cand
             newton_last = True

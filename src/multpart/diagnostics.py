@@ -20,7 +20,7 @@ from scipy import special
 from .asymptotics import limit_shape, solve_tilt
 from .ensemble import Ensemble, Regime
 from .errors import ParamError, RegimeError
-from .partition_function import CoefficientTable, product_tail_cutoff
+from .partition_function import CoefficientTable
 from .sampler import Partition, sample_small_many
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
 
 DEFAULT_EPSILON = 0.05
 DEFAULT_GRID = tuple(0.25 * i for i in range(1, 13))
-# moment sums stop where the neglected factors change log F by less than this
-_PREDICTION_TAIL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -156,51 +154,31 @@ def predict_concentration(e: Ensemble, n: int, grid=None,
     """Conditioned-Gaussian prediction of a concentration experiment.
 
     Every moment is a sum over part sizes of independent-count moments at
-    x_n, so the prediction costs one pass over the sizes that carry
-    weight; it involves no sampling. Raises RegimeError outside the
-    ergodic regimes, where no limit shape exists.
+    x_n. Those of N come with the tilt; the counts above the grid cuts
+    floor(alpha t) take one more walk (Ensemble.tail_moments), and no
+    sampling. Raises RegimeError outside the ergodic regimes, where no
+    limit shape exists.
     """
     grid = _check_concentration_inputs(e, grid, epsilon)
     sol = solve_tilt(e, n)
-    x, alpha = sol.x_n, sol.alpha
-    k_max = product_tail_cutoff(e, x, _PREDICTION_TAIL_TOL)
-    ks = np.arange(1, k_max + 1)
-    kf = ks.astype(float)
-    b = e.weights.values(ks)
-    u = np.exp(kf * math.log(x))
-    h, hp = e.series.h_vector(u)
-    mean_r = b * u * h
-    var_r = b * (u * h + u * u * hp)
-    mean_n = float((kf * mean_r).sum())
-    var_n = float((kf * kf * var_r).sum())
-
-    def above(terms: np.ndarray) -> np.ndarray:
-        # above(terms)[j] = sum over sizes k > j
-        return np.concatenate((np.cumsum(terms[::-1])[::-1], [0.0]))
-
-    mean_d, var_d, cov_dn = above(mean_r), above(var_r), above(kf * var_r)
-    shape = tuple(limit_shape(e, np.array(grid)).tolist())
-    scale = alpha / n
-    centres, spreads, hits = [], [], []
-    for t, phi in zip(grid, shape):
-        # the same float threshold young_function compares part sizes with
-        j = min(math.floor(alpha * t), k_max)
-        mu = mean_d[j] + cov_dn[j] / var_n * (n - mean_n)
-        sd = math.sqrt(max(var_d[j] - cov_dn[j] ** 2 / var_n, 0.0))
-        lo = math.floor((phi - epsilon) / scale) + 1
-        hi = math.ceil((phi + epsilon) / scale) - 1
-        if sd > 0.0:
-            p = float(special.ndtr((hi + 0.5 - mu) / sd)
-                      - special.ndtr((lo - 0.5 - mu) / sd))
-        else:
-            p = float(lo - 0.5 < mu < hi + 0.5)
-        centres.append(scale * float(mean_d[j]))
-        spreads.append(scale * sd)
-        hits.append(p)
+    # the same float threshold young_function compares part sizes with
+    mean_d, var_d, cov_dn = np.array(e.tail_moments(
+        sol.x_n, [math.floor(sol.alpha * t) for t in grid])).T
+    shape = limit_shape(e, np.array(grid))
+    scale = sol.alpha / n
+    mu = mean_d + cov_dn / sol.variance * (n - sol.mean)
+    sd = np.sqrt(np.maximum(var_d - cov_dn ** 2 / sol.variance, 0.0))
+    # the integers d with |scale d - phi| < epsilon, widened by 1/2
+    lo = np.floor((shape - epsilon) / scale) + 0.5
+    hi = np.ceil((shape + epsilon) / scale) - 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        band = special.ndtr((hi - mu) / sd) - special.ndtr((lo - mu) / sd)
+    hits = np.where(sd > 0.0, band, (lo < mu) & (mu < hi))
     return ConcentrationPrediction(
-        n=n, alpha=alpha, grid=grid, epsilon=epsilon, shape_values=shape,
-        centres=tuple(centres), spreads=tuple(spreads),
-        hit_fractions=tuple(hits))
+        n=n, alpha=sol.alpha, grid=grid, epsilon=epsilon,
+        shape_values=tuple(shape.tolist()), hit_fractions=tuple(hits.tolist()),
+        centres=tuple((scale * mean_d).tolist()),
+        spreads=tuple((scale * sd).tolist()))
 
 
 @dataclass(frozen=True)

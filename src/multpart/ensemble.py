@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ _BLOCK = 4096
 _STOP_REL = 1e-14
 _MEAN = (1, False)  # (power of k, variance correction)
 _VAR = (2, True)
+_TAIL = ((0, False), (0, True), (1, True))  # E R_k, Var R_k, k Var R_k
 _MEMO_CAP = 64
 
 
@@ -532,25 +534,24 @@ class Ensemble:
 
     # -- moments -----------------------------------------------------------
 
-    def _check_x(self, x: float) -> None:
-        if not (0.0 <= x < self.rho):
-            raise DomainError(
-                f"tilt x={x} outside [0, {self.rho}) for this ensemble")
-
-    def _moment_sums(self, x: float, wants: tuple, k_min: int = 1,
+    def _moment_sums(self, x: float, wants: tuple, cuts: Sequence[int] = (0,),
                      blocks: dict | None = None,
-                     stop_above: float = math.inf) -> list[float]:
-        """sum_{k>=k_min} k^p b_k x^k h(x^k) (+ variance correction) for each
-        (p, variance) wanted, in one walk over the size blocks; each sum stops
-        by its own test. blocks keeps the k-only arrays for one tilt solve.
-
-        The walk returns early once the first total exceeds stop_above. Every
+                     stop_above: float = math.inf) -> list[list[float]]:
+        """sum_{k>c} k^p b_k x^k h(x^k) (+ variance correction) for each
+        (p, variance) wanted and each cut c of the increasing cuts, in one
+        walk over the size blocks from cuts[0] + 1. Each sum stops by its own
+        test on its smallest suffix begun so far, and a cut the walk never
+        reaches reads 0; blocks keeps the k-only arrays for one tilt solve.
+        The walk returns early once the first sum exceeds stop_above: every
         term is >= 0 and adding a float >= 0 never lowers a float sum, so the
         full first total would exceed stop_above too.
         """
-        totals = [0.0] * len(wants)
+        if not (0.0 <= x < self.rho):
+            raise DomainError(
+                f"tilt x={x} outside [0, {self.rho}) for this ensemble")
+        segs = [[0.0] * len(cuts) for _ in wants]  # per segment between cuts
         if x == 0.0:
-            return totals
+            return segs
         live = list(range(len(wants)))
         log_x = math.log(x)
         # exponential f has h = rate and h' = 0: no per-point evaluation, and
@@ -558,7 +559,7 @@ class Ensemble:
         rate = (float(self.series.rate)
                 if isinstance(self.series, ExponentialSeries) else None)
         end_support = self.weights.support_end
-        start = k_min
+        start, nxt = cuts[0] + 1, 1  # segment nxt - 1 holds size start
         while live:
             blk = None if blocks is None else blocks.get(start)
             if blk is None:
@@ -572,6 +573,9 @@ class Ensemble:
                 if blocks is not None:
                     blocks[start] = blk
             kf, kpb, last = blk
+            # offsets in the block where one segment ends and the next begins
+            ends = [c + 1 - start for c in cuts[nxt:] if c < start + _BLOCK - 1]
+            nxt += len(ends)  # segment nxt - 1 now holds the block's last size
             xk = np.exp(kf * log_x)
             h, hp = ((rate, None) if rate is not None
                      else self.series.h_vector(xk))
@@ -582,18 +586,25 @@ class Ensemble:
                                           else xk * h + xk * xk * hp)
                 else:
                     terms = kpb[power] * xk * h
-                totals[j] += float(terms.sum())
+                if ends:
+                    lo = nxt - 1 - len(ends)
+                    for i, (a, b) in enumerate(zip([0] + ends, ends + [_BLOCK])):
+                        segs[j][lo + i] += float(terms[a:b].sum())
+                else:
+                    segs[j][nxt - 1] += float(terms.sum())
                 if (xk[last] < 0.5 and float(terms[last])
-                        < _STOP_REL * max(totals[j], 1e-300)):
+                        < _STOP_REL * max(segs[j][nxt - 1], 1e-300)):
                     live.remove(j)
-            if totals[0] > stop_above:
+            if segs[0][0] > stop_above:
                 break
             start += _BLOCK
             if end_support is not None and start > end_support:
                 break
             if live and start > 10 ** 9:
                 raise DomainError("moment sum failed to terminate")
-        return totals
+        if len(cuts) > 1:  # suffix sums
+            segs = [list(accumulate(s[::-1]))[::-1] for s in segs]
+        return segs
 
     def mean_N(self, x: float, blocks: dict | None = None, *,
                stop_above: float = math.inf) -> float:
@@ -605,24 +616,31 @@ class Ensemble:
         full mean is <= stop_above: comparisons of the result with
         stop_above read as they would on the full mean.
         """
-        self._check_x(x)
         return self._moment_sums(x, (_MEAN,), blocks=blocks,
-                                 stop_above=stop_above)[0]
+                                 stop_above=stop_above)[0][0]
 
     def var_N(self, x: float) -> float:
         """Variance of the total weight at tilt x."""
-        self._check_x(x)
-        return self._moment_sums(x, (_VAR,))[0]
+        return self._moment_sums(x, (_VAR,))[0][0]
 
     def mean_var(self, x: float, blocks: dict | None = None) -> tuple:
         """(mean_N(x), var_N(x)) from one walk over the size blocks."""
-        self._check_x(x)
-        return tuple(self._moment_sums(x, (_MEAN, _VAR), blocks=blocks))
+        (mean,), (var,) = self._moment_sums(x, (_MEAN, _VAR), blocks=blocks)
+        return mean, var
+
+    def tail_moments(self, x: float, cuts: Sequence[int]) -> list[tuple]:
+        """(sum E_x R_k, sum Var_x R_k, sum k Var_x R_k) over k > c for each
+        cut c >= 0 in the order given (parts above c: their expected number,
+        its variance and its covariance with N), from one walk."""
+        levels = sorted({int(c) for c in cuts})
+        if not levels or levels[0] < 0:
+            raise ParamError("tail_moments needs one cut or more, all >= 0")
+        sums = dict(zip(levels, zip(*self._moment_sums(x, _TAIL, levels))))
+        return [sums[int(c)] for c in cuts]
 
     def mean_counts_tail(self, x: float, k_min: int) -> float:
-        """sum_{k>=k_min} E_x R_k, the expected number of parts above k_min."""
-        self._check_x(x)
-        return self._moment_sums(x, ((0, False),), k_min=max(1, k_min))[0]
+        """sum_{k>=k_min} E_x R_k; benchmarks/tracing.py times it by name."""
+        return self.tail_moments(x, (max(1, k_min) - 1,))[0][0]
 
 
 def classify_regime(e: Ensemble) -> Regime:

@@ -8,7 +8,8 @@ that replaced it can be checked against it: dense_pdc_draw runs the
 sampler's count laws through the dense divide-and-conquer attempt, which
 draws every count, prefix_walk_draw walks the tilted prefix rows of a
 coefficient table, and recursive_vector_draw runs every step of the
-recursive method in numpy vectors.
+recursive method in numpy vectors. A fourth, array_prediction, replays the
+concentration prediction's former moment arrays.
 """
 
 from __future__ import annotations
@@ -237,6 +238,25 @@ def fsum_mean(b_of_k, h, x: float, k_max: int | None = None) -> float:
     return math.fsum(terms)
 
 
+def fsum_tail_moments(b_of_k, h, hp, x: float, cuts) -> list[tuple]:
+    """(sum E R_k, sum Var R_k, sum k Var R_k) over k > c for each cut c, at
+    tilt x, each a math.fsum of its per-size terms as in fsum_mean:
+    E R_k = b_k u h(u) and Var R_k = b_k (u h(u) + u^2 h'(u)), u = x^k,
+    over the sizes until x^k < 1e-30.
+    """
+    mean, var, cov = [], [], []
+    for k in count(1):
+        u = x ** k
+        if u < 1e-30:
+            break
+        b = b_of_k(k)
+        mean.append(b * u * h(u))
+        var.append(b * (u * h(u) + u * u * hp(u)))
+        cov.append(k * var[-1])
+    return [(math.fsum(mean[c:]), math.fsum(var[c:]), math.fsum(cov[c:]))
+            for c in cuts]
+
+
 def term_loop_bundle(coefficient, u: float, n_terms: int | None = None):
     """(f, h, h', h'') of sum_j g_j u^j by a term-by-term loop.
 
@@ -328,6 +348,54 @@ def prefix_walk_draw(e, table, n: int, gen) -> dict:
     if m:
         raise RuntimeError("prefix rows inconsistent: residual not exhausted")
     return counts
+
+
+def array_prediction(e, n: int, grid, epsilon: float):
+    """(centres, spreads, hit_fractions) of predict_concentration, by its
+    former method: size-indexed arrays up to a product tail cutoff at
+    log-tolerance 1e-12, and reversed cumulative sums of them for the
+    counts above each grid cut. grid is a tuple of floats.
+    """
+    from multpart import limit_shape, product_tail_cutoff, solve_tilt
+    from scipy import special
+
+    sol = solve_tilt(e, n)
+    x, alpha = sol.x_n, sol.alpha
+    k_max = product_tail_cutoff(e, x, 1e-12)
+    ks = np.arange(1, k_max + 1)
+    kf = ks.astype(float)
+    b = e.weights.values(ks)
+    u = np.exp(kf * math.log(x))
+    h, hp = e.series.h_vector(u)
+    mean_r = b * u * h
+    var_r = b * (u * h + u * u * hp)
+    mean_n = float((kf * mean_r).sum())
+    var_n = float((kf * kf * var_r).sum())
+
+    def above(terms: np.ndarray) -> np.ndarray:
+        # above(terms)[j] = sum over sizes k > j
+        return np.concatenate((np.cumsum(terms[::-1])[::-1], [0.0]))
+
+    mean_d, var_d, cov_dn = above(mean_r), above(var_r), above(kf * var_r)
+    shape = tuple(limit_shape(e, np.array(grid)).tolist())
+    scale = alpha / n
+    centres, spreads, hits = [], [], []
+    for t, phi in zip(grid, shape):
+        # the same float threshold young_function compares part sizes with
+        j = min(math.floor(alpha * t), k_max)
+        mu = mean_d[j] + cov_dn[j] / var_n * (n - mean_n)
+        sd = math.sqrt(max(var_d[j] - cov_dn[j] ** 2 / var_n, 0.0))
+        lo = math.floor((phi - epsilon) / scale) + 1
+        hi = math.ceil((phi + epsilon) / scale) - 1
+        if sd > 0.0:
+            p = float(special.ndtr((hi + 0.5 - mu) / sd)
+                      - special.ndtr((lo - 0.5 - mu) / sd))
+        else:
+            p = float(lo - 0.5 < mu < hi + 0.5)
+        centres.append(scale * float(mean_d[j]))
+        spreads.append(scale * sd)
+        hits.append(p)
+    return centres, spreads, hits
 
 
 def _pick_index(gen, w) -> int:

@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multpart import (
+    CustomSeries,
+    Ensemble,
     ParamError,
     Partition,
     RegimeError,
+    Singularity,
     coefficients,
+    constant_weights,
     concentration_experiment,
     degenerate_shape_probe,
     large_part_mass,
@@ -23,7 +27,7 @@ from multpart import (
     young_integral,
 )
 
-from oracles import parts_above_laws
+from oracles import array_prediction, parts_above_laws
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +149,36 @@ def test_prediction_matches_exact_fixed_weight_law():
         assert abs(scale * mean - centre) <= 0.05 * spread
         assert scale * sd == pytest.approx(spread, rel=0.02)
         assert hit == pytest.approx(predicted, abs=0.02)
+
+
+PREDICTION_FAMILIES = {
+    "uniform": lambda: make("uniform"),
+    "weighted(0.5)": lambda: make("weighted", y=0.5),
+    "restricted(odds)": lambda: make("restricted", parts="odds"),
+    "gibbs(1,1)": lambda: make("gibbs", theta=1, beta=1),
+    "gibbs(2,0.5)": lambda: make("gibbs", theta=2, beta=0.5),
+    "strict": lambda: Ensemble(CustomSeries([1, 1]), constant_weights()),
+    "double pole": lambda: Ensemble(
+        CustomSeries(lambda j: j + 1, radius=1.0,
+                     singularity=Singularity("pole", 2.0)),
+        constant_weights()),
+}
+
+
+@pytest.mark.parametrize("name,n", [
+    # the double pole's truncated series refuses x_n at 10**6 (1 - x_n is
+    # below 1e-3), so its largest case is 10**5
+    (name, n) for name in sorted(PREDICTION_FAMILIES)
+    for n in (10 ** 2, 10 ** 4, 10 ** 5 if name == "double pole" else 10 ** 6)])
+def test_prediction_matches_array_oracle(name, n):
+    # one tail walk at the grid cuts against reversed cumsums over arrays
+    # up to a product tail cutoff
+    e = PREDICTION_FAMILIES[name]()
+    pred = predict_concentration(e, n, epsilon=0.05)
+    centres, spreads, hits = array_prediction(e, n, pred.grid, 0.05)
+    assert pred.centres == pytest.approx(centres, rel=1e-9, abs=0.0)
+    assert pred.spreads == pytest.approx(spreads, rel=1e-9, abs=0.0)
+    assert pred.hit_fractions == pytest.approx(hits, rel=0.0, abs=1e-9)
 
 
 def test_concentration_quantiles(uniform_concentration):

@@ -19,7 +19,7 @@ from multpart.errors import (ConvergenceError, DomainError, ParamError,
 from multpart.sampler import RngStream, sample_grand
 from multpart.series import CustomSeries, ExponentialSeries, GeometricSeries, Singularity
 
-from oracles import central_diff, direct_mean_var
+from oracles import central_diff, direct_mean_var, fsum_tail_moments
 
 
 # -- part sets ---------------------------------------------------------------
@@ -279,7 +279,7 @@ def test_mean_var_is_both_moments_exactly(name, params, x):
     assert e.mean_var(0.0) == (0.0, 0.0)
 
 
-def test_mean_counts_tail_against_direct_sum():
+def test_tail_moments_counts_against_direct_sum():
     # E_x R_k = b_k x^k / (1 - x^k) for geometric f; the walk stops once a
     # term is below 1e-14 of the total, leaving a tail of about that over
     # 1 - x, so 1e-11 relative at x = 0.999
@@ -290,7 +290,54 @@ def test_mean_counts_tail_against_direct_sum():
             k0 = k_min if step == 1 or k_min % 2 else k_min + 1
             want = math.fsum(x ** k / (1 - x ** k)
                              for k in range(k0, 80_000, step))
-            assert e.mean_counts_tail(x, k_min) == pytest.approx(want, rel=5e-11)
+            got = e.tail_moments(x, (k_min - 1,))[0][0]
+            assert got == pytest.approx(want, rel=5e-11)
+
+
+TAIL_FAMILIES = {
+    # ensemble, b_k, h = f'/f and h'
+    "uniform": (lambda: make("uniform"), lambda k: 1,
+                lambda u: 1.0 / (1.0 - u), lambda u: 1.0 / (1.0 - u) ** 2),
+    "gibbs(2,0.5)": (lambda: make("gibbs", theta=2, beta=0.5),
+                     lambda k: 1.0 / math.sqrt(k), lambda u: 2.0,
+                     lambda u: 0.0),
+    "restricted(odds)": (lambda: make("restricted", parts="odds"),
+                         lambda k: k % 2, lambda u: 1.0 / (1.0 - u),
+                         lambda u: 1.0 / (1.0 - u) ** 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_FAMILIES))
+@pytest.mark.parametrize("tau", [1e-2, 1e-3])
+def test_tail_moments_match_fsum_at_shape_cuts(name, tau):
+    # the cuts floor(alpha t) of a concentration prediction, alpha = 1/tau:
+    # every suffix of the one walk against a correctly rounded sum
+    make_e, b_of_k, h, hp = TAIL_FAMILIES[name]
+    x = 1.0 - tau
+    cuts = [math.floor(t / tau) for t in (0.25, 1.0, 3.0)]
+    got = make_e().tail_moments(x, cuts)
+    want = fsum_tail_moments(b_of_k, h, hp, x, cuts)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-10, abs=0.0)
+
+
+def test_tail_moments_cuts_past_the_stop_read_zero():
+    # at x = 0.99 the walk from size 11 stops after its first block, where
+    # x^k is about e^-41; the sizes above 5000 still hold about 1e-20
+    # expected parts, but the walk never reaches them
+    e = make("uniform")
+    near, far = e.tail_moments(0.99, (10, 5000))
+    assert all(v > 0.0 for v in near)
+    assert far == (0.0, 0.0, 0.0)
+    assert e.tail_moments(0.99, (10,))[0] == near
+    # cuts in any order, repeats included, read as the sorted walk does
+    assert e.tail_moments(0.99, (5000, 10, 5000)) == [far, near, far]
+    assert e.tail_moments(0.0, (0, 3)) == [(0.0, 0.0, 0.0)] * 2
+    for bad in ((), (3, -1)):
+        with pytest.raises(ParamError):
+            e.tail_moments(0.5, bad)
+    with pytest.raises(DomainError):
+        e.tail_moments(1.0, (3,))
 
 
 def test_domain_checks():
