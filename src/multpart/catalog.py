@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from scipy.special import gammaincc, spence
-
 from .ensemble import (
     Ensemble,
     PartSet,
@@ -40,6 +38,7 @@ def dilogarithm(y: float) -> float:
     """Li2(y) = sum y^j / j^2 for y <= 1."""
     if y > 1.0:
         raise ParamError(f"dilogarithm reference needs y <= 1, got {y}")
+    from scipy.special import spence  # slow to import; loaded on first use
     return float(spence(1.0 - y))
 
 
@@ -159,6 +158,7 @@ def reference_shape(name: str, t: float, **params) -> float | None:
     if name in ("gibbs", "ordered_lists"):
         beta = float(params.get("beta", 1))
         # theta cancels from the normalized curve; value at 0 is 1/beta
+        from scipy.special import gammaincc  # slow to import
         return float(gammaincc(beta, t)) / beta
     return None  # restricted and ewens: no closed form
 

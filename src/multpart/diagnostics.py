@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .asymptotics import limit_shape, solve_tilt
 from .ensemble import Ensemble, Regime
@@ -171,8 +170,9 @@ def predict_concentration(e: Ensemble, n: int, grid=None,
     # the integers d with |scale d - phi| < epsilon, widened by 1/2
     lo = np.floor((shape - epsilon) / scale) + 0.5
     hi = np.ceil((shape + epsilon) / scale) - 0.5
+    from scipy.special import ndtr  # slow to import; loaded on first use
     with np.errstate(divide="ignore", invalid="ignore"):
-        band = special.ndtr((hi - mu) / sd) - special.ndtr((lo - mu) / sd)
+        band = ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd)
     hits = np.where(sd > 0.0, band, (lo < mu) & (mu < hi))
     return ConcentrationPrediction(
         n=n, alpha=sol.alpha, grid=grid, epsilon=epsilon,

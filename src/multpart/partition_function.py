@@ -58,6 +58,10 @@ _EPS = float(np.finfo(np.float64).eps)
 # factor coefficients below this relative size are dropped from the
 # tilted prefix convolutions
 FACTOR_WEIGHT_CUT = 1e-20
+# _scan runs shorter strides in a Python list, longer ones as numpy rows;
+# exact (object) and long-double scans cross over near 36 and 10
+_LIST_STRIDE_EXACT = 32
+_LIST_STRIDE_FLOAT = 10
 
 
 def partition_numbers(n_max: int) -> list[int]:
@@ -200,10 +204,15 @@ def _scan(a: np.ndarray, k: int, mult) -> None:
     """In place a[m] += mult * a[m-k] for ascending m: one 1/(1 - mult x^k)
     factor.
 
-    Each step adds the finished row below it, k entries at once; with
-    k >= len(a) there is no such row and a stays as it is. With mult == 1
-    the reshape view turns the per-residue running sums into one accumulate
-    call, and the ragged tail is one add whose sources are final.
+    With k >= len(a) there is no full row and a stays as it is. With
+    mult == 1 the reshape view turns the per-residue running sums into one
+    accumulate call, and the ragged tail is one add whose sources are final.
+    Otherwise each step adds the finished row below it, k entries at once.
+    Each row costs a numpy call, about as much as 30 Python big-int steps
+    or 10 long-double scalar steps, so shorter strides run as one pass over
+    a Python list. tolist() keeps ints and Fractions, and long doubles as
+    numpy scalars, so every entry gets the same multiply and add as in the
+    row loop.
     """
     n1 = a.shape[0]
     if k >= n1:
@@ -216,6 +225,12 @@ def _scan(a: np.ndarray, k: int, mult) -> None:
         lo = rows * k
         if lo < n1:
             a[lo:] += a[lo - k:n1 - k]
+        return
+    if k < (_LIST_STRIDE_EXACT if a.dtype == object else _LIST_STRIDE_FLOAT):
+        v = a.tolist()
+        for m in range(k, n1):
+            v[m] += mult * v[m - k]
+        a[:] = v
         return
     for lo in range(k, n1, k):
         a[lo:lo + k] += mult * a[lo - k:min(lo, n1 - k)]
@@ -386,13 +401,15 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
 
     mode: "auto" picks exact arithmetic when the ensemble is rational,
     extended floats otherwise or when a coefficient read turns out inexact;
-    "exact"/"float" force the arithmetic. Both run the same builder: the
-    log-derivative recurrence for an exponential series; the Durfee-square
-    sum, O(n_max^{3/2}) operations, for a geometric series with b_k = 1 at
-    every k <= n_max (uniform, weighted(y)); otherwise scans for geometric
-    factors with integer b_k <= 64 and stride convolutions for every other
-    factor, O(n_max^2). Only the array type, the integer scalings of the
-    exact tables and the last step (unscale, or the overflow check) differ.
+    "exact"/"float" force the arithmetic. Both run the same builder, whose
+    cost counts operations on table entries: the log-derivative recurrence
+    for an exponential series, O(n_max^2); the Durfee-square sum,
+    O(n_max^{3/2}), for a geometric series with b_k = 1 at every
+    k <= n_max (uniform, weighted(y)); otherwise b_k scans of O(n_max) each
+    for geometric factors with integer b_k <= 64, and stride convolutions
+    for every other factor, O(n_max^2 log n_max) in all. Only the array
+    type, the integer scalings of the exact tables and the last step
+    (unscale, or the overflow check) differ.
 
     keep_prefix also retains the tilted per-prefix rows (memory grows
     quadratically: capped at n_max = 5000). x0 overrides the tilt, which

@@ -29,11 +29,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy import special
 
 from .asymptotics import solve_tilt
 from .ensemble import Ensemble
@@ -90,10 +89,65 @@ class RngStream:
             raise ParamError("stream index must be >= 0")
 
     def generator(self) -> np.random.Generator:
-        """A fresh PCG64 generator; repeated calls restart the stream."""
-        ss = np.random.SeedSequence(entropy=int(self.seed),
-                                    spawn_key=(int(self.stream),))
-        return np.random.Generator(np.random.PCG64(ss))
+        """A fresh PCG64 generator; repeated calls restart the stream.
+
+        Its state is that of PCG64(SeedSequence(entropy=seed,
+        spawn_key=(stream,))). The seed's mixed pool comes from a per-seed
+        memo; the stream's words and the 8 output words are hashed here by
+        numpy's SeedSequence algorithm.
+        """
+        pool = list(_seed_pool(int(self.seed)))
+        h = _HASH_AFTER_SEED
+        stream = int(self.stream)
+        while True:  # mix in the stream's 32-bit words, low word first
+            v0 = stream & _M32
+            for d in range(4):
+                v = v0 ^ h
+                h = h * _MULT_A & _M32
+                v = v * h & _M32
+                v ^= v >> 16
+                v = (_MIX_L * pool[d] - _MIX_R * v) & _M32
+                pool[d] = v ^ v >> 16
+            stream >>= 32
+            if not stream:
+                break
+        h = _INIT_B
+        out = []
+        for i in range(8):
+            v = pool[i & 3] ^ h
+            h = h * _MULT_B & _M32
+            v = v * h & _M32
+            out.append(v ^ v >> 16)
+        state = np.array([out[0] | out[1] << 32, out[2] | out[3] << 32,
+                          out[4] | out[5] << 32, out[6] | out[7] << 32],
+                         dtype=np.uint64)
+        return np.random.Generator(np.random.PCG64(_Words(state)))
+
+
+# SeedSequence constants (numpy/random/bit_generator.pyx): hashmix and mix
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# the seed's pool takes 16 hashmix steps whatever the seed: 4 words (a
+# seed below 2^64, zero-padded) and 12 cross mixes
+_HASH_AFTER_SEED = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _M32
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[int, ...]:
+    """SeedSequence's pool after the seed's words, before the stream's."""
+    return tuple(np.random.SeedSequence(seed).pool.tolist())
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the 4 state words generator() hashed."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
 
 
 class Partition:
@@ -284,9 +338,10 @@ class _NegativeBinomialLaw(CountLaw):
         return _NegativeBinomialLaw(self.b[cols], self.q[cols])
 
     def _logpmf(self, j):
+        from scipy.special import gammaln  # slow to import
         b = self.b
-        return (special.gammaln(j + b) - special.gammaln(b)
-                - special.gammaln(j + 1.0) + b * np.log(self.p)
+        return (gammaln(j + b) - gammaln(b)
+                - gammaln(j + 1.0) + b * np.log(self.p)
                 + j * np.log(self.q))
 
     def _mode(self):
@@ -314,7 +369,8 @@ class _PoissonLaw(CountLaw):
         return _PoissonLaw(self.lam[cols])
 
     def _logpmf(self, j):
-        return j * np.log(self.lam) - self.lam - special.gammaln(j + 1.0)
+        from scipy.special import gammaln  # slow to import
+        return j * np.log(self.lam) - self.lam - gammaln(j + 1.0)
 
     def _mode(self):
         return np.floor(self.lam)

@@ -9,7 +9,8 @@ sampler's count laws through the dense divide-and-conquer attempt, which
 draws every count, prefix_walk_draw walks the tilted prefix rows of a
 coefficient table, and recursive_vector_draw runs every step of the
 recursive method in numpy vectors. A fourth, array_prediction, replays the
-concentration prediction's former moment arrays.
+concentration prediction's former moment arrays, and scan_rows runs every
+table scan as the numpy row loop it once was.
 """
 
 from __future__ import annotations
@@ -432,3 +433,14 @@ def recursive_vector_draw(plan, gen) -> dict:
         counts[int(ks[t])] = counts.get(int(ks[t]), 0) + int(js[t])
         m -= i
     return dict(sorted(counts.items()))
+
+
+def scan_rows(a: np.ndarray, k: int, mult) -> None:
+    """In place a[m] += mult * a[m-k] for ascending m, a row of k at a time.
+
+    The table builder's former scan for every stride and multiplier: each
+    step adds the finished row below it as one numpy slice update.
+    """
+    n1 = a.shape[0]
+    for lo in range(k, n1, k):
+        a[lo:lo + k] += mult * a[lo - k:min(lo, n1 - k)]

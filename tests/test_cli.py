@@ -42,16 +42,17 @@ def test_help_lists_all_subcommands():
         assert name in res.output
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats is most of a cold start; only criterion 6 and
-    # hit_pvalues import it, when they run
+def test_import_loads_no_scipy_module():
+    # scipy is most of a cold start: scipy.stats loads only in criterion 6
+    # and hit_pvalues, scipy.special in the functions that call it
     src = str(Path(multpart.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, multpart; print('scipy.stats' in sys.modules)"],
+         "import sys, multpart; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # -- shape -------------------------------------------------------------------

@@ -40,7 +40,7 @@ from multpart.partition_function import (_factor_weights_float,
 
 from oracles import (exp_factor, geometric_factor, log_partition_loop,
                      partition_count, partition_product, product_coefficients,
-                     weighted_partition_sum)
+                     scan_rows, weighted_partition_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +262,60 @@ def test_scan_with_no_full_row_is_a_no_op(n1, k, mult):
         a = np.arange(1, n1 + 1).astype(dtype)
         _scan(a, k, mult)
         assert a.tolist() == list(range(1, n1 + 1))
+
+
+_SCAN_MULTS = {"int": (1, 2, 3, np.longdouble(7) / 10),
+               "fraction": (1, 2, 3),  # a Fraction takes no long double
+               "float": (1, 2, 3, np.longdouble(7) / 10)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_SCAN_MULTS)), data=st.data(),
+       entries=st.lists(st.integers(0, 10 ** 30), max_size=300),
+       k=st.one_of(st.integers(1, 40), st.integers(1, 320)))
+def test_scan_matches_row_oracle(kind, data, entries, k):
+    # strides on both sides of the list cut-offs, k >= len(a) included;
+    # long doubles carry all 64 mantissa bits and must match bit for bit
+    mult = data.draw(st.sampled_from(_SCAN_MULTS[kind]))
+    if kind == "float":
+        a = np.array(entries, dtype=np.longdouble) / 3
+    else:
+        a = np.array([Fraction(v, 7) if kind == "fraction" else v
+                      for v in entries], dtype=object)
+    want = a.copy()
+    scan_rows(want, k, mult)
+    _scan(a, k, mult)
+    assert a.dtype == want.dtype
+    if kind == "float":
+        assert np.array_equal(a, want)
+    else:
+        assert a.tolist() == want.tolist()
+        assert [type(v) for v in a] == [type(v) for v in want]
+
+
+ODD_PARTS_Y2 = Ensemble(GeometricSeries(2), indicator_weights("odds"))
+
+
+def test_factor_route_with_multiplier_matches_product_oracle():
+    # y = 2 on odd parts: every odd stride up to n scans with mult 2,
+    # on both sides of the list cut-off
+    want = product_coefficients(
+        [geometric_factor(k, 2 * (k % 2), 120) for k in range(1, 121)], 120)
+    got = list(coefficients(ODD_PARTS_Y2, 120, mode="exact").values)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("e,n", [(ODD_PARTS_Y2, 120),
+                                 (make("weighted", y=2), 2000)],
+                         ids=["odd parts y=2", "weighted(2)"])
+def test_float_table_matches_row_scans(monkeypatch, e, n):
+    # the factor route and the Durfee sum in long doubles, bit for bit
+    # against the same builder running every scan as numpy rows
+    got = coefficients(e, n, mode="float").values
+    monkeypatch.setattr(partition_function, "_scan", scan_rows)
+    want = coefficients(e, n, mode="float").values
+    assert np.array_equal(got, want)
 
 
 def test_float_route_matches_exact():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -53,6 +54,25 @@ def test_streams_are_distinct():
     c = RngStream(8, 0).generator().random(8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _numpy_state(seed: int, stream: int) -> dict:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    return np.random.PCG64(ss).state
+
+
+def test_stream_state_matches_seed_sequence():
+    # generator() hashes the seed and stream itself; every word boundary
+    # of both, and random pairs of every width, against numpy's hashing
+    edges = [(s, t) for s in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
+             for t in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3)]
+    rnd = random.Random(20)
+    pairs = edges + [(rnd.getrandbits(rnd.randint(1, 64)),
+                      rnd.getrandbits(rnd.randint(1, 80)))
+                     for _ in range(2000)]
+    for seed, stream in pairs:
+        got = RngStream(seed, stream).generator().bit_generator.state
+        assert got == _numpy_state(seed, stream), (seed, stream)
 
 
 def test_stream_validation():
