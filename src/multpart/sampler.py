@@ -16,8 +16,9 @@ on total size n is done three ways:
 
 A pdc attempt draws only its nonzero counts, as a Poisson process over
 the sizes (CountLaw.draw_sparse; sample_small_pdc gives the rates by
-series kind). Rejection and grand draws keep one dense row of all k*
-counts.
+series kind). A grand draw is one dense row of all k* counts; a rejection
+attempt is a dense row of the counts of sizes up to min(n, k*), since an
+accepted attempt has no part above n.
 
 An exact step picks its size i in Python floats up to m = _SCALAR_WINDOW
 while no rescale applies, else in numpy vectors, the same bits in O(m);
@@ -298,28 +299,35 @@ class CountLaw:
 
 class _NegativeBinomialLaw(CountLaw):
     """Geometric series 1/(1 - y z): R_k is negative binomial with shape
-    b_k and success probability 1 - y u; shape 1 is geometric."""
+    b_k and success probability 1 - y u. Shape 1 is geometric, drawn by
+    inversion of one uniform per count."""
 
     def __init__(self, b: np.ndarray, q: np.ndarray):
         self.b = b
         self.q = q
         self.p = 1.0 - q
+        with np.errstate(divide="ignore"):
+            self._log_q = np.log(q)  # -inf where q = 0: every count is 0
         unit = b == 1.0
         self._unit = np.nonzero(unit)[0]
         self._other = np.nonzero(~unit)[0]
 
+    @staticmethod
+    def _geometric(gen, shape, log_q) -> np.ndarray:
+        # R = floor(log(1 - U) / log q), so P(R >= j) = q^j
+        u = gen.random(shape)
+        np.log1p(np.negative(u, out=u), out=u)
+        return np.floor(np.divide(u, log_q, out=u), out=u).astype(np.int64)
+
     def draw(self, gen, shape):
         unit, other = self._unit, self._other
         if not other.size:
-            # unit shape: failures before the first success
-            out = gen.geometric(self.p, size=shape)
-            out -= 1
-            return out
+            return self._geometric(gen, shape, self._log_q)
         out = np.empty(shape, dtype=np.int64)
         lead = tuple(shape[:-1])
         if unit.size:
-            out[..., unit] = gen.geometric(
-                self.p[unit], size=lead + (unit.size,)) - 1
+            out[..., unit] = self._geometric(gen, lead + (unit.size,),
+                                             self._log_q[unit])
         # real shape b > 0, drawn as the standard Gamma-mixed Poisson
         out[..., other] = gen.negative_binomial(
             self.b[other], self.p[other], size=lead + (other.size,))
@@ -471,10 +479,6 @@ class _GrandTable:
                               np.power(x, self.ks.astype(np.float64)))
         self._split = None
 
-    def draw(self, gen: np.random.Generator, rows: int) -> np.ndarray:
-        """rows x len(ks) matrix of independent counts."""
-        return self.law.draw(gen, (rows, self.ks.size))
-
     def split_first(self) -> tuple[CountLaw, CountLaw]:
         """(law of R_1, laws of R_k for k >= 2) for divide-and-conquer draws.
 
@@ -539,7 +543,7 @@ def sample_grand(e: Ensemble, x: float, rng: RngStream) -> Partition:
     if x == 0.0:
         return Partition({}, 0)
     tbl = _grand_table(e, x)
-    row = tbl.draw(rng.generator(), 1)[0]
+    row = tbl.law.draw(rng.generator(), (1, tbl.ks.size))[0]
     return _partition_from_row(tbl.ks, row)
 
 
@@ -553,8 +557,10 @@ _BUDGET_WAITS = 20
 def default_budget(e: Ensemble, n: int, mode: str = "rejection") -> int:
     """Attempt allowance of about twenty expected waits for an acceptance.
 
-    An attempt of the rejection sampler is accepted with probability
-    P(N = n) at the tilt x_n, which the local limit theorem puts at
+    An attempt of the rejection sampler, which draws only the sizes up to
+    n, is accepted with probability P(N = n) / P(no part above n) at the
+    tilt x_n: at least P(N = n), with equality when n >= k*. The budget
+    takes P(N = n), which the local limit theorem puts at
     1/sqrt(2 pi Var N(x_n)). Divide-and-conquer ("pdc") accepts with that
     probability divided by max_j P(R_1 = j).
     """
@@ -579,12 +585,19 @@ def _sample_fixed(e: Ensemble, n: int, rng: RngStream, budget: int | None,
         raise ParamError("budget must be >= 1")
     x_n = solve_tilt(e, n).x_n
     tbl = _grand_table(e, x_n)
-    width = tbl.ks.size
     if mode == "pdc":
         first, rest = tbl.split_first()
         log_top = first.log_max()
         ks_rest = tbl.ks[1:]
         width = math.ceil(rest.expected_points())
+    else:
+        # the sizes above n are 0 in every accepted attempt and independent
+        # of the rest: conditioning the sizes up to n gives the same law
+        def upto_n():
+            c = int(np.searchsorted(tbl.ks, n, side="right"))
+            return tbl.ks[:c], tbl.law.take(slice(0, c))
+        ks, law = e.cached(("rejection_law", n), upto_n)
+        width = ks.size
     gen = rng.generator()
     # batches grow geometrically from 16 rows: cheap when acceptance is
     # high, amortized when it is small; the fixed schedule keeps the draw
@@ -607,10 +620,10 @@ def _sample_fixed(e: Ensemble, n: int, rng: RngStream, budget: int | None,
                 return _partition_from_entries(
                     n, int(r_1[h]), ks_rest[col[mine]], cnt[mine])
         else:
-            counts = tbl.draw(gen, rows)
-            hits = np.nonzero(counts @ tbl.ks == n)[0]
+            counts = law.draw(gen, (rows, width))
+            hits = np.nonzero(counts @ ks == n)[0]
             if hits.size:
-                return _partition_from_row(tbl.ks, counts[hits[0]])
+                return _partition_from_row(ks, counts[hits[0]])
         attempts += rows
         batch = min(batch * 4, batch_cap)
     raise BudgetExhausted(

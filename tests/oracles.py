@@ -2,21 +2,23 @@
 
 Everything here is deliberately naive: enumeration, term-by-term series
 arithmetic, and O(n^2) convolutions, written without touching the package
-internals so a bug cannot hide in shared code. Three exceptions replay a
+internals so a bug cannot hide in shared code. Four exceptions replay a
 sampler's former method on the package's own data, so that the method
-that replaced it can be checked against it: dense_pdc_draw runs the
-sampler's count laws through the dense divide-and-conquer attempt, which
-draws every count, prefix_walk_draw walks the tilted prefix rows of a
-coefficient table, and recursive_vector_draw runs every step of the
-recursive method in numpy vectors. A fourth, array_prediction, replays the
-concentration prediction's former moment arrays, and scan_rows runs every
-table scan as the numpy row loop it once was.
+that replaced it can be checked against it: dense_rejection_draw and
+dense_pdc_draw run the rejection and divide-and-conquer attempts with
+every count of the sampler's count laws drawn by numpy's own samplers,
+prefix_walk_draw walks the tilted prefix rows of a coefficient table, and
+recursive_vector_draw runs every step of the recursive method in numpy
+vectors. A fifth, array_prediction, replays the concentration
+prediction's former moment arrays, and scan_rows runs every table scan as
+the numpy row loop it once was.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 
 import mpmath
@@ -292,6 +294,58 @@ def log_partition_loop(log_value, b_of_k, x: float, cutoff: int) -> float:
     return total
 
 
+@lru_cache(maxsize=16)
+def _numpy_sampler(law, start: int = 0):
+    """draw(gen, rows): rows independent rows of a count law's columns from
+    start on.
+
+    Each column is drawn from the law's parameters by numpy's geometric,
+    negative_binomial or poisson, or by inverse CDF from a tabulated law's
+    masses, never through the law's own draw.
+    """
+    if hasattr(law, "lam"):
+        lam = law.lam[start:]
+        return lambda gen, rows: gen.poisson(lam, size=(rows, lam.size))
+    if hasattr(law, "q"):
+        p, b = 1.0 - law.q[start:], law.b[start:]
+        unit = b == 1.0
+
+        def draw(gen, rows):
+            out = np.empty((rows, p.size), dtype=np.int64)
+            out[:, unit] = gen.geometric(p[unit],
+                                         size=(rows, int(unit.sum()))) - 1
+            out[:, ~unit] = gen.negative_binomial(
+                b[~unit], p[~unit], size=(rows, int((~unit).sum())))
+            return out
+        return draw
+    cums = [np.cumsum(m) for m in law.masses[start:]]
+
+    def draw(gen, rows):
+        u = gen.random((rows, len(cums)))
+        return np.array([np.searchsorted(cum, u[:, i] * cum[-1], side="right")
+                         for i, cum in enumerate(cums)],
+                        dtype=np.int64).reshape(len(cums), rows).T
+    return draw
+
+
+def dense_rejection_draw(table, n: int, gen, budget: int = 10 ** 6,
+                         rows: int = 64) -> dict:
+    """One rejection draw that draws all k* counts of every attempt.
+
+    table is the sampler's grand table at the tilt x_n: its part sizes ks
+    and its count laws. The first attempt of a batch of rows with total
+    size n wins. Returns {k: R_k} over the nonzero counts.
+    """
+    draw = _numpy_sampler(table.law)
+    for _ in range(0, budget, rows):
+        counts = draw(gen, rows)
+        hits = np.nonzero(counts @ table.ks == n)[0]
+        if hits.size:
+            return {int(k): int(r) for k, r in zip(table.ks, counts[hits[0]])
+                    if r}
+    raise RuntimeError(f"no draw of size {n} in {budget} attempts")
+
+
 def dense_pdc_draw(table, n: int, gen, budget: int = 10 ** 6,
                    rows: int = 64) -> dict:
     """One divide-and-conquer draw that draws every count of an attempt.
@@ -303,11 +357,11 @@ def dense_pdc_draw(table, n: int, gen, budget: int = 10 ** 6,
     of a batch of rows wins. Returns {k: R_k} over the nonzero counts.
     """
     first = table.law.take(slice(0, 1))
-    rest = table.law.take(slice(1, None))
+    draw = _numpy_sampler(table.law, 1)
     log_top = first.log_max()
     ks = table.ks
     for _ in range(0, budget, rows):
-        counts = rest.draw(gen, (rows, ks.size - 1))
+        counts = draw(gen, rows)
         r_1 = n - counts @ ks[1:]
         keep = np.exp(first.logpmf(r_1[:, None])[:, 0] - log_top)
         hits = np.nonzero(gen.random(rows) < keep)[0]

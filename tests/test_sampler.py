@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,8 +36,8 @@ from multpart import (
 
 from multpart import partition_function
 from multpart.sampler import _SCALAR_WINDOW, _RecursivePlan
-from oracles import (dense_pdc_draw, partitions_into, prefix_walk_draw,
-                     recursive_vector_draw)
+from oracles import (dense_pdc_draw, dense_rejection_draw, partitions_into,
+                     prefix_walk_draw, recursive_vector_draw)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,23 @@ def test_grand_moments():
     assert abs(z_var) < 3
 
 
+def test_grand_draws_zero_and_near_one_columns():
+    # at x = 1e-200, x^k underflows to 0 from k = 2: those columns have
+    # log q = -inf and draw 0, with no floating-point warning
+    from multpart.sampler import _grand_table
+
+    u = make("uniform")
+    assert np.all(_grand_table(u, 1e-200).law.q[1:] == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = sample_grand(u, 1e-200, RngStream(1))
+    assert p == Partition({}, 0) and p.weight == 0
+    # q = 1 - 1e-9: counts near 10^9, still finite ints
+    for i in range(20):
+        r = sample_count(u, 1, 1.0 - 1e-9, RngStream(128, i))
+        assert isinstance(r, int) and r >= 0
+
+
 def test_grand_respects_part_restriction():
     evens = make("restricted", parts="evens")
     for i in range(20):
@@ -328,6 +347,33 @@ def test_rejection_law_uniform():
     obs = [counts.get(p, 0) for p in law]
     p = stats.chisquare(obs, [3000 * w for w in law.values()]).pvalue
     assert p > 0.01
+
+
+REJECTION_LAWS = [
+    ("weighted", {"y": 0.5}, 5, lambda k, r: 0.5 ** r),
+    ("restricted", {"parts": "odds"}, 7, lambda k, r: float(k % 2 or r == 0)),
+]
+
+
+@pytest.mark.parametrize("name,params,n,part_weight", REJECTION_LAWS,
+                         ids=[c[0] for c in REJECTION_LAWS])
+def test_rejection_law_matches_enumeration(name, params, n, part_weight):
+    law = {p: w for p, w in _law_table(n, part_weight).items() if w > 0}
+    m = 3000
+    draws = sample_small_many(make(name, **params), n, m, seed=127,
+                              budget=5000)
+    counts = _empirical(draws)
+    assert set(counts) <= set(law)
+    obs = [counts.get(p, 0) for p in law]
+    assert stats.chisquare(obs, [m * w for w in law.values()]).pvalue > 0.01
+
+
+def test_rejection_without_sizes_up_to_n():
+    # restricted(evens) has no size <= 1, so every attempt is empty
+    evens = make("restricted", parts="evens")
+    with pytest.raises(BudgetExhausted) as err:
+        sample_small_rejection(evens, 1, RngStream(1))
+    assert err.value.attempts == err.value.budget == default_budget(evens, 1)
 
 
 def test_exact_law_weighted():
@@ -418,6 +464,53 @@ def test_sparse_draw_marginals(name):
         probs = pmf[:cells, c].copy()
         probs[-1] = 1.0 - probs[:-1].sum()
         assert stats.chisquare(obs, m * probs).pvalue > 0.01
+
+
+@pytest.mark.parametrize("name", SPARSE_LAWS)
+def test_dense_draw_marginals(name):
+    # the dense twin of the test above: R_k of law.draw at x = 0.8, k <= 3,
+    # with unit shapes drawn by inversion
+    from multpart.sampler import _grand_table
+
+    e = (Ensemble(CustomSeries([1, 1, 1, 1]), constant_weights())
+         if name == "quartic" else _golden_ensemble(name))
+    law = _grand_table(e, 0.8).law.take(slice(0, 3))
+    m = 20_000
+    counts = law.draw(RngStream(121).generator(), (m, 3))
+    pmf = np.exp(law.logpmf(np.arange(200)[:, None]))
+    for c in range(3):
+        cells = int(np.argmin(m * pmf[:, c] >= 5))
+        obs = np.bincount(np.minimum(counts[:, c], cells - 1),
+                          minlength=cells)
+        probs = pmf[:cells, c].copy()
+        probs[-1] = 1.0 - probs[:-1].sum()
+        assert stats.chisquare(obs, m * probs).pvalue > 0.01
+
+
+@pytest.mark.parametrize("name,n", [("uniform", 8), ("weighted", 8),
+                                    ("mixed", 8), ("uniform", 30)])
+def test_rejection_matches_dense(name, n):
+    # attempts over the sizes up to n against attempts that draw all k*
+    # counts with numpy's samplers; at n = 30, q_1 = x_n > 2/3, where
+    # numpy's geometric is not an inversion. A partition of 30 is one of
+    # 5604, so there a cell is (R_1, number of parts); cells seen fewer
+    # than 10 times on both sides together are pooled
+    from multpart.sampler import _grand_table
+
+    e, m = _golden_ensemble(name), 3000
+    x = solve_tilt(e, n).x_n
+    assert n < 30 or x > 2 / 3
+    table = _grand_table(e, x)
+    gen = RngStream(125).generator()
+    a = [Partition.make(dense_rejection_draw(table, n, gen)) for _ in range(m)]
+    b = sample_small_many(e, n, m, seed=126)
+    cell = repr if n < 30 else (lambda p: (p.counts.get(1, 0), p.num_parts))
+    ca, cb = Counter(map(cell, a)), Counter(map(cell, b))
+    kept = [c for c in {*ca, *cb} if ca[c] + cb[c] >= 10]
+    table = np.array([[ca[c] for c in kept] + [m - sum(ca[c] for c in kept)],
+                      [cb[c] for c in kept] + [m - sum(cb[c] for c in kept)]])
+    table = table[:, table.sum(axis=0) > 0]
+    assert stats.chi2_contingency(table).pvalue > 0.01
 
 
 @pytest.mark.parametrize("name", ["uniform", "gibbs", "strict", "mixed"])
