@@ -16,9 +16,11 @@ on total size n is done three ways:
 
 A pdc attempt draws only its nonzero counts, as a Poisson process over
 the sizes (CountLaw.draw_sparse; sample_small_pdc gives the rates by
-series kind). A grand draw is one dense row of all k* counts; a rejection
-attempt is a dense row of the counts of sizes up to min(n, k*), since an
-accepted attempt has no part above n.
+series kind). A grand draw is one row of all k* counts (CountLaw.draw_row):
+for unit shapes one uniform per size, inverted only where it can give a
+nonzero count, else a dense row. A rejection attempt is a dense row of the
+counts of sizes up to min(n, k*), since an accepted attempt has no part
+above n.
 
 An exact step picks its size i in Python floats up to m = _SCALAR_WINDOW
 while no rescale applies, else in numpy vectors, the same bits in O(m);
@@ -28,6 +30,7 @@ the split i = k j reads divisors up to sqrt(i) and a per-plan x^e table.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -84,45 +87,32 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 1 << 64:
+        if type(self.seed) is not int or type(self.stream) is not int:
+            try:  # numpy integers pass as ints; floats and strings fail
+                object.__setattr__(self, "seed", operator.index(self.seed))
+                object.__setattr__(self, "stream",
+                                   operator.index(self.stream))
+            except TypeError:
+                raise ParamError(
+                    "seed and stream must be integers, got "
+                    f"{self.seed!r} and {self.stream!r}") from None
+        if not 0 <= self.seed < 1 << 64:
             raise ParamError("seed must fit in 64 unsigned bits")
-        if int(self.stream) < 0:
+        if self.stream < 0:
             raise ParamError("stream index must be >= 0")
 
     def generator(self) -> np.random.Generator:
         """A fresh PCG64 generator; repeated calls restart the stream.
 
         Its state is that of PCG64(SeedSequence(entropy=seed,
-        spawn_key=(stream,))). The seed's mixed pool comes from a per-seed
-        memo; the stream's words and the 8 output words are hashed here by
-        numpy's SeedSequence algorithm.
+        spawn_key=(stream,))). States are hashed for 2^12 consecutive
+        streams at a time (_state_block), and the 16 blocks used last are
+        kept, about 2 MB: replicas on streams base + i pay one hash per
+        block, not one per draw.
         """
-        pool = list(_seed_pool(int(self.seed)))
-        h = _HASH_AFTER_SEED
-        stream = int(self.stream)
-        while True:  # mix in the stream's 32-bit words, low word first
-            v0 = stream & _M32
-            for d in range(4):
-                v = v0 ^ h
-                h = h * _MULT_A & _M32
-                v = v * h & _M32
-                v ^= v >> 16
-                v = (_MIX_L * pool[d] - _MIX_R * v) & _M32
-                pool[d] = v ^ v >> 16
-            stream >>= 32
-            if not stream:
-                break
-        h = _INIT_B
-        out = []
-        for i in range(8):
-            v = pool[i & 3] ^ h
-            h = h * _MULT_B & _M32
-            v = v * h & _M32
-            out.append(v ^ v >> 16)
-        state = np.array([out[0] | out[1] << 32, out[2] | out[3] << 32,
-                          out[4] | out[5] << 32, out[6] | out[7] << 32],
-                         dtype=np.uint64)
-        return np.random.Generator(np.random.PCG64(_Words(state)))
+        block = _state_block(self.seed, self.stream >> _BLOCK_BITS)
+        return np.random.Generator(np.random.PCG64(
+            _Words(block[self.stream & _BLOCK_MASK])))
 
 
 # SeedSequence constants (numpy/random/bit_generator.pyx): hashmix and mix
@@ -133,16 +123,41 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # the seed's pool takes 16 hashmix steps whatever the seed: 4 words (a
 # seed below 2^64, zero-padded) and 12 cross mixes
 _HASH_AFTER_SEED = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _M32
+_BLOCK_BITS = 12
+_BLOCK_MASK = (1 << _BLOCK_BITS) - 1
 
 
-@lru_cache(maxsize=64)
-def _seed_pool(seed: int) -> tuple[int, ...]:
-    """SeedSequence's pool after the seed's words, before the stream's."""
-    return tuple(np.random.SeedSequence(seed).pool.tolist())
+@lru_cache(maxsize=16)
+def _state_block(seed: int, block: int) -> np.ndarray:
+    """PCG64 states of the 2^12 streams block * 2^12 + j of seed, by j:
+    numpy's SeedSequence algorithm on uint32 lanes, one per stream. The
+    block is 2^12-aligned, so its streams differ only in the low word."""
+    first = block << _BLOCK_BITS
+    word = np.arange(1 << _BLOCK_BITS, dtype=np.uint32) + (first & _M32)
+    pool = np.random.SeedSequence(seed).pool[:, None].repeat(word.size, 1)
+    h, high = _HASH_AFTER_SEED, first >> 32
+    while True:  # hashmix: xor the hash constant, step it, multiply
+        for d in range(4):
+            v = (word ^ h) * (h := h * _MULT_A & _M32)
+            v ^= v >> 16
+            v = _MIX_L * pool[d] - _MIX_R * v
+            pool[d] = v ^ v >> 16
+        if not high:
+            break
+        word, high = np.array([high & _M32], dtype=np.uint32), high >> 32
+    h, out = _INIT_B, []
+    for i in range(8):
+        v = (pool[i & 3] ^ h) * (h := h * _MULT_B & _M32)
+        out.append(v ^ v >> 16)
+    # little-endian word pairs, as numpy's generate_state reads them
+    state = np.stack(out, axis=1).astype("<u4", copy=False).view("<u8")
+    state = state.astype(np.uint64, copy=False)
+    state.setflags(write=False)
+    return state
 
 
 class _Words(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 the 4 state words generator() hashed."""
+    """Hands PCG64 the 4 state words _state_block hashed."""
 
     def __init__(self, state: np.ndarray):
         self.state = state
@@ -231,14 +246,25 @@ class CountLaw:
 
     Under the product measure at x, P(R_k = j) is proportional to the
     coefficient of z^j in f(z)^{b_k} times u^j, u = x^k. One column per
-    size: draw(gen, shape) fills an array whose last axis runs over the
-    sizes, and logpmf(j) broadcasts j against that axis. draw_sparse gives
-    the same law as the nonzero counts only, from a Poisson process over
-    the sizes with the rates _rates.
+    size, size columns in all: draw(gen, shape) fills an array whose last
+    axis runs over the sizes, and logpmf(j) broadcasts j against that axis.
+    draw_row gives one such row as its nonzero entries, with the same bits.
+    draw_sparse gives the same law as the nonzero counts only, from a
+    Poisson process over the sizes with the rates _rates.
     """
+
+    size: int
 
     def draw(self, gen: np.random.Generator, shape: tuple) -> np.ndarray:
         raise NotImplementedError
+
+    def draw_row(self, gen: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, counts): the nonzero entries of draw(gen, (1, size))[0],
+        columns ascending."""
+        row = self.draw(gen, (1, self.size))[0]
+        cols = np.flatnonzero(row)
+        return cols, row[cols]
 
     def draw_sparse(self, gen: np.random.Generator, rows: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,6 +332,7 @@ class _NegativeBinomialLaw(CountLaw):
         self.b = b
         self.q = q
         self.p = 1.0 - q
+        self.size = q.size
         with np.errstate(divide="ignore"):
             self._log_q = np.log(q)  # -inf where q = 0: every count is 0
         unit = b == 1.0
@@ -332,6 +359,29 @@ class _NegativeBinomialLaw(CountLaw):
         out[..., other] = gen.negative_binomial(
             self.b[other], self.p[other], size=lead + (other.size,))
         return out
+
+    @cached_property
+    def _gate(self) -> np.ndarray:  # a uniform below it gives the count 0
+        return 1.0 - self.q * (1.0 + 1e-6)
+
+    def draw_row(self, gen):
+        if self._other.size:
+            return super().draw_row(gen)
+        # the uniforms of draw, inverted only where they can give R >= 1.
+        # That needs 1 - U <= q up to rounding, which moves the threshold
+        # by at most q 3e-13 (a few ulps of log1p, log and the quotient,
+        # |log q| <= 745), so the gate 1 - q (1 + 1e-6) lies below it far
+        # inside the margin. Rounding the gate admits no U the exact gate
+        # would bar: U is a multiple of 2^-53, a gate in [1/2, 1] rounds
+        # to one, and one below 1/2 is exact (Sterbenz). q = 0 gives the
+        # gate 1, so those columns are never inverted and never warn. One
+        # (1, size) request, as draw makes, so that a generator wrapper
+        # counting rows and columns of 2-D requests still sees the row
+        u = gen.random((1, self.size))[0]
+        cols = np.flatnonzero(u >= self._gate)
+        r = np.floor(np.log1p(-u[cols]) / self._log_q[cols]).astype(np.int64)
+        hit = r != 0
+        return cols[hit], r[hit]
 
     @cached_property
     def _rates(self):
@@ -361,6 +411,7 @@ class _PoissonLaw(CountLaw):
 
     def __init__(self, lam: np.ndarray):
         self.lam = lam
+        self.size = lam.size
 
     def draw(self, gen, shape):
         return gen.poisson(self.lam, size=shape)
@@ -392,6 +443,7 @@ class _TabulatedLaw(CountLaw):
     def __init__(self, masses: list[np.ndarray]):
         self.masses = masses
         self.cdfs = [np.cumsum(m) for m in masses]
+        self.size = len(masses)
 
     def _log_masses(self) -> list[np.ndarray]:
         with np.errstate(divide="ignore"):
@@ -466,7 +518,7 @@ def _count_law(e: Ensemble, bs: np.ndarray, us: np.ndarray) -> CountLaw:
 class _GrandTable:
     """Per-(ensemble, x) sampling plan: active sizes and their count laws."""
 
-    __slots__ = ("x", "k_star", "ks", "law", "_split")
+    __slots__ = ("x", "k_star", "ks", "law")
 
     def __init__(self, e: Ensemble, x: float):
         self.x = x
@@ -477,22 +529,6 @@ class _GrandTable:
         self.ks = ks[active]
         self.law = _count_law(e, bs[active],
                               np.power(x, self.ks.astype(np.float64)))
-        self._split = None
-
-    def split_first(self) -> tuple[CountLaw, CountLaw]:
-        """(law of R_1, laws of R_k for k >= 2) for divide-and-conquer draws.
-
-        Kept on the table, so the sparse draw's cumulative rates are built
-        once per (ensemble, x).
-        """
-        if self._split is None:
-            if self.ks.size == 0 or self.ks[0] != 1:
-                raise ParamError(
-                    "mode 'pdc' sets R_1 = n - W and needs b_1 > 0; use mode "
-                    "'rejection' for ensembles without parts of size one")
-            self._split = (self.law.take(slice(0, 1)),
-                           self.law.take(slice(1, None)))
-        return self._split
 
 
 def _grand_table(e: Ensemble, x: float) -> _GrandTable:
@@ -518,12 +554,6 @@ def sample_count(e: Ensemble, k: int, x: float, rng: RngStream) -> int:
     return int(law.draw(rng.generator(), (1,))[0])
 
 
-def _partition_from_row(ks: np.ndarray, row: np.ndarray) -> Partition:
-    nz = np.nonzero(row)[0]
-    return Partition(dict(zip(ks[nz].tolist(), row[nz].tolist())),
-                     int(ks[nz] @ row[nz]))
-
-
 def _partition_from_entries(n: int, r_1: int, ks: np.ndarray,
                             cnt: np.ndarray) -> Partition:
     """Partition of weight n with r_1 ones plus cnt[i] parts of size ks[i]."""
@@ -543,8 +573,10 @@ def sample_grand(e: Ensemble, x: float, rng: RngStream) -> Partition:
     if x == 0.0:
         return Partition({}, 0)
     tbl = _grand_table(e, x)
-    row = tbl.law.draw(rng.generator(), (1, tbl.ks.size))[0]
-    return _partition_from_row(tbl.ks, row)
+    cols, counts = tbl.law.draw_row(rng.generator())
+    ks = tbl.ks[cols]
+    return Partition(dict(zip(ks.tolist(), counts.tolist())),
+                     int(ks @ counts))
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +601,40 @@ def default_budget(e: Ensemble, n: int, mode: str = "rejection") -> int:
     sol = solve_tilt(e, n)
     rate = 1.0 / math.sqrt(2.0 * math.pi * sol.variance)
     if mode == "pdc":
-        first, _ = _grand_table(e, sol.x_n).split_first()
-        rate /= math.exp(float(first.log_max()[0]))
+        rate /= math.exp(float(_fixed_plan(e, n, mode).log_top[0]))
     return math.ceil(_BUDGET_WAITS / min(rate, 1.0))
+
+
+class _FixedPlan:
+    """What a fixed-size draw of weight n needs at the tilt x_n, by mode:
+    the batch width, the sizes drawn and their count laws; for pdc also
+    the law of R_1 and log max_j P(R_1 = j)."""
+
+    def __init__(self, e: Ensemble, n: int, mode: str):
+        self.x_n = solve_tilt(e, n).x_n
+        tbl = _grand_table(e, self.x_n)
+        if mode == "pdc":
+            if tbl.ks.size == 0 or tbl.ks[0] != 1:
+                raise ParamError(
+                    "mode 'pdc' sets R_1 = n - W and needs b_1 > 0; use mode "
+                    "'rejection' for ensembles without parts of size one")
+            self.first = tbl.law.take(slice(0, 1))
+            self.law = tbl.law.take(slice(1, None))
+            self.log_top = self.first.log_max()
+            self.ks = tbl.ks[1:]
+            self.width = math.ceil(self.law.expected_points())
+        else:
+            # the sizes above n are 0 in every accepted attempt and
+            # independent of the rest: conditioning the sizes up to n
+            # gives the same law
+            self.width = int(np.searchsorted(tbl.ks, n, side="right"))
+            self.ks = tbl.ks[:self.width]
+            self.ks_list = self.ks.tolist()
+            self.law = tbl.law.take(slice(0, self.width))
+
+
+def _fixed_plan(e: Ensemble, n: int, mode: str) -> _FixedPlan:
+    return e.cached(("fixed_plan", n, mode), lambda: _FixedPlan(e, n, mode))
 
 
 def _sample_fixed(e: Ensemble, n: int, rng: RngStream, budget: int | None,
@@ -583,21 +646,8 @@ def _sample_fixed(e: Ensemble, n: int, rng: RngStream, budget: int | None,
         budget = default_budget(e, n, mode)
     if budget < 1:
         raise ParamError("budget must be >= 1")
-    x_n = solve_tilt(e, n).x_n
-    tbl = _grand_table(e, x_n)
-    if mode == "pdc":
-        first, rest = tbl.split_first()
-        log_top = first.log_max()
-        ks_rest = tbl.ks[1:]
-        width = math.ceil(rest.expected_points())
-    else:
-        # the sizes above n are 0 in every accepted attempt and independent
-        # of the rest: conditioning the sizes up to n gives the same law
-        def upto_n():
-            c = int(np.searchsorted(tbl.ks, n, side="right"))
-            return tbl.ks[:c], tbl.law.take(slice(0, c))
-        ks, law = e.cached(("rejection_law", n), upto_n)
-        width = ks.size
+    plan = _fixed_plan(e, n, mode)
+    ks, law, width = plan.ks, plan.law, plan.width
     gen = rng.generator()
     # batches grow geometrically from 16 rows: cheap when acceptance is
     # high, amortized when it is small; the fixed schedule keeps the draw
@@ -608,28 +658,30 @@ def _sample_fixed(e: Ensemble, n: int, rng: RngStream, budget: int | None,
     while attempts < budget:
         rows = min(batch, budget - attempts)
         if mode == "pdc":
-            row, col, cnt = rest.draw_sparse(gen, rows)
-            weight = np.bincount(row, weights=ks_rest[col] * cnt,
-                                 minlength=rows)
+            row, col, cnt = law.draw_sparse(gen, rows)
+            weight = np.bincount(row, weights=ks[col] * cnt, minlength=rows)
             r_1 = n - weight.astype(np.int64)
-            keep = np.exp(first.logpmf(r_1[:, None])[:, 0] - log_top)
+            keep = np.exp(plan.first.logpmf(r_1[:, None])[:, 0]
+                          - plan.log_top)
             hits = np.nonzero(gen.random(rows) < keep)[0]
             if hits.size:
                 h = hits[0]
                 mine = row == h
                 return _partition_from_entries(
-                    n, int(r_1[h]), ks_rest[col[mine]], cnt[mine])
+                    n, int(r_1[h]), ks[col[mine]], cnt[mine])
         else:
             counts = law.draw(gen, (rows, width))
             hits = np.nonzero(counts @ ks == n)[0]
             if hits.size:
-                return _partition_from_row(ks, counts[hits[0]])
+                # accepted on its weight, which is therefore n
+                return Partition({k: r for k, r in zip(
+                    plan.ks_list, counts[hits[0]].tolist()) if r}, n)
         attempts += rows
         batch = min(batch * 4, batch_cap)
     raise BudgetExhausted(
-        f"no draw of size {n} in {attempts} attempts at x={x_n:.6g}; the "
-        "size may be unreachable (support obstruction) or the budget too "
-        "small for this acceptance rate",
+        f"no draw of size {n} in {attempts} attempts at x={plan.x_n:.6g}; "
+        "the size may be unreachable (support obstruction) or the budget "
+        "too small for this acceptance rate",
         attempts=attempts, budget=budget, acceptance_estimate=0.0)
 
 

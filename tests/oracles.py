@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive: enumeration, term-by-term series
 arithmetic, and O(n^2) convolutions, written without touching the package
-internals so a bug cannot hide in shared code. Four exceptions replay a
+internals so a bug cannot hide in shared code. Five exceptions replay a
 sampler's former method on the package's own data, so that the method
 that replaced it can be checked against it: dense_rejection_draw and
 dense_pdc_draw run the rejection and divide-and-conquer attempts with
 every count of the sampler's count laws drawn by numpy's own samplers,
+dense_geometric_row inverts a uniform for every size up to the grand
+cutoff k* with laws built from the series and weights alone,
 prefix_walk_draw walks the tilted prefix rows of a coefficient table, and
 recursive_vector_draw runs every step of the recursive method in numpy
-vectors. A fifth, array_prediction, replays the concentration
+vectors. A sixth, array_prediction, replays the concentration
 prediction's former moment arrays, and scan_rows runs every table scan as
 the numpy row loop it once was.
 """
@@ -344,6 +346,29 @@ def dense_rejection_draw(table, n: int, gen, budget: int = 10 ** 6,
             return {int(k): int(r) for k, r in zip(table.ks, counts[hits[0]])
                     if r}
     raise RuntimeError(f"no draw of size {n} in {budget} attempts")
+
+
+def dense_geometric_row(e, x: float, gen) -> dict:
+    """One grand draw of a geometric series whose weights are 0 or 1.
+
+    q_k = y x^k for every size k <= k* with b_k = 1, from e.series and
+    e.weights; one uniform per such size, in size order, and
+    R_k = floor(log1p(-U) / log q_k) for all of them. Returns {k: R_k}
+    over the nonzero counts.
+    """
+    from multpart.partition_function import product_tail_cutoff
+    from multpart.sampler import GRAND_TAIL_TOL
+
+    ks = np.arange(1, product_tail_cutoff(e, x, GRAND_TAIL_TOL) + 1)
+    b = e.weights.values(ks)
+    if not np.all((b == 0.0) | (b == 1.0)):
+        raise ValueError("dense_geometric_row needs weights 0 or 1")
+    ks = ks[b == 1.0]
+    q = e.series.coefficient(1) * np.power(x, ks.astype(np.float64))
+    u = gen.random(ks.size)
+    with np.errstate(divide="ignore"):
+        r = np.floor(np.log1p(-u) / np.log(q)).astype(np.int64)
+    return {int(k): int(c) for k, c in zip(ks, r) if c}
 
 
 def dense_pdc_draw(table, n: int, gen, budget: int = 10 ** 6,

@@ -36,8 +36,8 @@ from multpart import (
 
 from multpart import partition_function
 from multpart.sampler import _SCALAR_WINDOW, _RecursivePlan
-from oracles import (dense_pdc_draw, dense_rejection_draw, partitions_into,
-                     prefix_walk_draw, recursive_vector_draw)
+from oracles import (dense_geometric_row, dense_pdc_draw, dense_rejection_draw,
+                     partitions_into, prefix_walk_draw, recursive_vector_draw)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,30 @@ def test_stream_validation():
         RngStream(3, -2)
     with pytest.raises(ParamError):
         RngStream(1 << 64, 0)
+    # non-integral seeds and streams are refused, numpy integers pass
+    for seed, stream in ((1.5, 0), ("7", 0), (1, 2.0), (1, "3"), (None, 0)):
+        with pytest.raises(ParamError):
+            RngStream(seed, stream)
+    rng = RngStream(np.uint64(2 ** 64 - 1), np.int64(5))
+    assert type(rng.seed) is int and type(rng.stream) is int
+    assert rng == RngStream(2 ** 64 - 1, 5)
+    assert Partition({}, 0).to_record(rng)["seed"] == 2 ** 64 - 1
+
+
+def test_stream_states_across_block_boundaries():
+    # generator() hashes 2^12 streams at a time: the streams either side
+    # of a block edge and of the 32-bit word edge, and a bounded memo
+    from multpart.sampler import _state_block
+
+    for seed in (0, 2 ** 63, 2 ** 64 - 1):
+        for stream in (4095, 4096, 4097, 2 ** 32 - 4096, 2 ** 32 - 1,
+                       2 ** 32, 2 ** 32 + 4097):
+            got = RngStream(seed, stream).generator().bit_generator.state
+            assert got == _numpy_state(seed, stream), (seed, stream)
+    for b in range(40):
+        RngStream(3, b << 12).generator()
+        info = _state_block.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +300,46 @@ def test_grand_draws_zero_and_near_one_columns():
     for i in range(20):
         r = sample_count(u, 1, 1.0 - 1e-9, RngStream(128, i))
         assert isinstance(r, int) and r >= 0
+
+
+@pytest.mark.parametrize("name,y,x", [
+    ("uniform", 1, 0.5), ("uniform", 1, 0.9), ("uniform", 1, "x_40000"),
+    ("weighted", 0.5, 0.99), ("weighted", 2, 0.4999),
+    ("uniform", 1, 1e-200)])
+def test_grand_row_matches_dense_inversion(name, y, x):
+    # unit shapes invert only the uniforms past their gate; every size
+    # inverted, as the oracle does, gives the same counts. At 1e-200 the
+    # q = 0 columns are never inverted and raise no warning
+    e = make(name, **({"y": y} if name == "weighted" else {}))
+    if x == "x_40000":
+        x = solve_tilt(e, 40_000).x_n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(2000):
+            got = sample_grand(e, x, RngStream(2026, i)).counts
+            want = dense_geometric_row(e, x, RngStream(2026, i).generator())
+            assert got == want, (x, i)
+
+
+def test_grand_row_drops_zero_counts_past_the_gate():
+    # a uniform on its gate passes it but inverts to 0 (1 - U > q): the
+    # row keeps no such entry; one at 1 - q^1.5 inverts to 1
+    from multpart.sampler import _grand_table
+
+    law = _grand_table(make("uniform"), 0.5).law.take(slice(0, 10))
+
+    class Uniforms:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, size):
+            return self.u.reshape(size).copy()
+
+    cols, counts = law.draw_row(Uniforms(law._gate))
+    assert cols.size == 0 and counts.size == 0
+    cols, counts = law.draw_row(Uniforms(1.0 - law.q ** 1.5))
+    assert np.array_equal(cols, np.arange(law.q.size))
+    assert np.all(counts == 1)
 
 
 def test_grand_respects_part_restriction():
