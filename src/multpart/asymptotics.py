@@ -54,6 +54,8 @@ from .series import EVAL_RADIUS_FRACTION
 _V_BASE = 40.0
 # most intervals one piece of an integral may be split into
 _QUAD_LIMIT = 300
+# a tilt solve meets |mean - n| <= _TILT_REL_TOL n within _TILT_MAX_ITER steps
+_TILT_REL_TOL = 1e-10
 _TILT_MAX_ITER = 200
 
 # QUADPACK's qk21 on [-1, 1]: Kronrod nodes x_1 > ... > x_10 > x_11 = 0
@@ -455,6 +457,8 @@ def _bracket(e: Ensemble, n: int, probe) -> tuple[float, float, float]:
     lo = 0.0
     for i in range(1, 60):
         hi = rho * (1.0 - 0.5 ** i)
+        if hi >= rho:  # 1 - 0.5**i rounds to 1 from i = 54 on
+            break
         if probe(hi) > n:
             return lo, hi, 0.5 * (lo + hi)
         lo = hi
@@ -463,9 +467,9 @@ def _bracket(e: Ensemble, n: int, probe) -> tuple[float, float, float]:
         f"boundary {rho}; the target is unreachable for this ensemble")
 
 
-def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
-               max_iter: int = _TILT_MAX_ITER) -> TiltSolution:
-    """Solve mean_N(x_n) = n to |residual| <= rel_tol * n.
+def solve_tilt(e: Ensemble, n: int) -> TiltSolution:
+    """Solve mean_N(x_n) = n to |residual| <= 1e-10 n (_TILT_REL_TOL), once
+    per n: every caller reads the solution the ensemble caches at ("tilt", n).
 
     Bracketed Newton: the derivative of the mean in log x is the variance,
     so a Newton step is x -> x + (n - mean) * x / var. Steps leaving the
@@ -481,10 +485,10 @@ def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
     at the bracket midpoint.
 
     Float resolution sets a floor. Near a pole, one ulp of x can move the
-    mean by more than rel_tol * n (weighted(y=2) from n of about 3e6 on).
+    mean by more than 1e-10 n (weighted(y=2) from n of about 3e6 on).
     Once no float lies strictly between the bracket endpoints, the solve
     stops and returns the endpoint whose mean lies closer to n; its
-    residual then exceeds rel_tol * n and says by how much. A Newton step
+    residual then exceeds 1e-10 n and says by how much. A Newton step
     under half an ulp moves to the neighbouring float toward the root.
 
     Each step takes mean and variance from one pass over the size blocks
@@ -494,12 +498,10 @@ def solve_tilt(e: Ensemble, n: int, rel_tol: float = 1e-10,
     """
     if n < 1:
         raise ParamError(f"tilt target must be a positive integer, got {n}")
-    return e.cached(("tilt", n, rel_tol),
-                    lambda: _newton_tilt(e, n, rel_tol, max_iter))
+    return e.cached(("tilt", n), lambda: _newton_tilt(e, n))
 
 
-def _newton_tilt(e: Ensemble, n: int, rel_tol: float,
-                 max_iter: int) -> TiltSolution:
+def _newton_tilt(e: Ensemble, n: int) -> TiltSolution:
     blocks: dict = {}
     walks = 0
 
@@ -510,10 +512,10 @@ def _newton_tilt(e: Ensemble, n: int, rel_tol: float,
 
     lo, hi, x = _bracket(e, n, lambda x: walk(e.mean_N, x, stop_above=n))
     lo_at = hi_at = None  # (mean, var) at lo and hi, once evaluated there
-    tol = rel_tol * n
+    tol = _TILT_REL_TOL * n
     prev_res = math.inf
     newton_last = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, _TILT_MAX_ITER + 1):
         mean, var = walk(e.mean_var, x)
         res = mean - n
         if abs(res) <= tol:
@@ -551,7 +553,7 @@ def _newton_tilt(e: Ensemble, n: int, rel_tol: float,
             newton_last = False
     raise ConvergenceError(
         f"tilt solve for n={n} did not reach |mean - n| <= {tol} within "
-        f"{max_iter} iterations")
+        f"{_TILT_MAX_ITER} iterations")
 
 
 def scaling_alpha(e: Ensemble, n: int) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from decimal import Decimal
 
 import click
 import numpy as np
@@ -74,7 +75,10 @@ def _fmt_coefficient(v) -> str:
         return np.format_float_scientific(v, precision=16)
     if isinstance(v, float):
         return _fmt_float(v)
-    return str(v)  # int and Fraction render exactly
+    # int and Fraction render exactly, through Decimal: str() of an int
+    # stops at sys.get_int_max_str_digits() digits, Decimal has no limit
+    text = str(Decimal(v.numerator))
+    return text if v.denominator == 1 else f"{text}/{Decimal(v.denominator)}"
 
 
 @click.group()
@@ -158,8 +162,7 @@ def cmd_tilt(ens, n):
     if n < 1:
         raise click.UsageError("--n must be a positive integer")
     cfg = ensemble_from_flag(ens)
-    sol = solve_tilt(cfg.ensemble, n, rel_tol=cfg.numerics.tilt_rel_tol,
-                     max_iter=cfg.numerics.tilt_max_iter)
+    sol = solve_tilt(cfg.ensemble, n)
     for name, value in (("x_n", sol.x_n), ("tau_n", sol.tau_n),
                         ("alpha", sol.alpha), ("mean", sol.mean),
                         ("variance", sol.variance),

@@ -13,9 +13,10 @@ or a fully explicit description:
     label:    my-ensemble
     normalize: false
 
-Both may carry a `numerics:` block of solver overrides. Parse failures raise
-ConfigError with the offending field path in the message; YAML syntax errors
-keep the parser's line/column information.
+Both may carry a `numerics:` block; its one key, `budget`, caps the attempts
+of each rejection or pdc draw (the tilt x_n has no settings). Parse failures
+raise ConfigError with the offending field path in the message; YAML syntax
+errors keep the parser's line/column information.
 """
 
 from __future__ import annotations
@@ -45,18 +46,11 @@ _WEIGHT_RULES = {"constant": (), "indicator": ("parts",),
 
 @dataclass(frozen=True)
 class Numerics:
-    """Solver overrides a config may carry; defaults match the library."""
+    """Sampler overrides a config may carry; None keeps the library default."""
 
-    tilt_rel_tol: float = 1e-10
-    tilt_max_iter: int = 200
     budget: int | None = None
 
     def __post_init__(self):
-        if not (self.tilt_rel_tol > 0):
-            raise ConfigError("numerics.tilt_rel_tol: must be positive")
-        if not (isinstance(self.tilt_max_iter, int) and self.tilt_max_iter > 0):
-            raise ConfigError("numerics.tilt_max_iter: must be a positive "
-                              "integer")
         if self.budget is not None and not (
                 isinstance(self.budget, int) and self.budget > 0):
             raise ConfigError("numerics.budget: must be a positive integer")
@@ -167,23 +161,13 @@ def _build_numerics(sec: Any, path: str) -> Numerics:
     if sec is None:
         return Numerics()
     sec = _require_mapping(sec, path)
-    _reject_extras(sec, ("tilt_rel_tol", "tilt_max_iter", "budget"), path)
-    kwargs: dict[str, Any] = {}
-    if "tilt_rel_tol" in sec:
-        kwargs["tilt_rel_tol"] = float(
-            _number(sec, "tilt_rel_tol", path, positive=True))
-    if "tilt_max_iter" in sec:
-        v = sec["tilt_max_iter"]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise _fail(f"{path}.tilt_max_iter", f"expected an integer, "
-                        f"got {v!r}")
-        kwargs["tilt_max_iter"] = v
-    if "budget" in sec:
-        v = sec["budget"]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise _fail(f"{path}.budget", f"expected an integer, got {v!r}")
-        kwargs["budget"] = v
-    return Numerics(**kwargs)
+    _reject_extras(sec, ("budget",), path)
+    if "budget" not in sec:
+        return Numerics()
+    v = sec["budget"]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise _fail(f"{path}.budget", f"expected an integer, got {v!r}")
+    return Numerics(budget=v)
 
 
 def parse_config(doc: Any, source: str = "config") -> EnsembleConfig:

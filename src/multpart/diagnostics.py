@@ -245,12 +245,6 @@ class ConcentrationReport:
             "mode": self.mode,
         }
 
-    def write_sup_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("replica,sup_distance\n")
-            for i, d in enumerate(self.sup_distances):
-                fh.write(f"{i},{d:.17g}\n")
-
 
 def _steep_points(e: Ensemble, grid: tuple[float, ...],
                   epsilon: float) -> tuple[float, ...]:

@@ -14,6 +14,10 @@ on total size n is done three ways:
 - the recursive method ("exact"): remove components of j parts of size k
   by m p_m = sum_i c_i p_{m-i} until m = 0; needs nu_j = j [z^j] log f >= 0.
 
+Each mode draws from one plan per n, built at the tilt x_n and cached by
+the ensemble (_fixed_plan): a _FixedPlan for rejection and pdc, a
+_RecursivePlan for exact. A plan draws itself: plan.draw(rng, budget).
+
 A pdc attempt draws only its nonzero counts, as a Poisson process over
 the sizes (CountLaw.draw_sparse; sample_small_pdc gives the rates by
 series kind). A grand draw is one row of all k* counts (CountLaw.draw_row):
@@ -106,9 +110,9 @@ class RngStream:
 
         Its state is that of PCG64(SeedSequence(entropy=seed,
         spawn_key=(stream,))). States are hashed for 2^12 consecutive
-        streams at a time (_state_block), and the 16 blocks used last are
-        kept, about 2 MB: replicas on streams base + i pay one hash per
-        block, not one per draw.
+        streams at a time (_state_block), and the 2 blocks used last are
+        kept, 256 KB: callers walk their streams in order, so replicas on
+        streams i pay one hash per block, not one per draw.
         """
         block = _state_block(self.seed, self.stream >> _BLOCK_BITS)
         return np.random.Generator(np.random.PCG64(
@@ -127,7 +131,7 @@ _BLOCK_BITS = 12
 _BLOCK_MASK = (1 << _BLOCK_BITS) - 1
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _state_block(seed: int, block: int) -> np.ndarray:
     """PCG64 states of the 2^12 streams block * 2^12 + j of seed, by j:
     numpy's SeedSequence algorithm on uint32 lanes, one per stream. The
@@ -594,24 +598,24 @@ def default_budget(e: Ensemble, n: int, mode: str = "rejection") -> int:
     tilt x_n: at least P(N = n), with equality when n >= k*. The budget
     takes P(N = n), which the local limit theorem puts at
     1/sqrt(2 pi Var N(x_n)). Divide-and-conquer ("pdc") accepts with that
-    probability divided by max_j P(R_1 = j).
+    probability divided by max_j P(R_1 = j). The plan of (n, mode) holds it.
     """
     if mode not in ("rejection", "pdc"):
         raise ParamError(f"no attempt budget for sampling mode {mode!r}")
-    sol = solve_tilt(e, n)
-    rate = 1.0 / math.sqrt(2.0 * math.pi * sol.variance)
-    if mode == "pdc":
-        rate /= math.exp(float(_fixed_plan(e, n, mode).log_top[0]))
-    return math.ceil(_BUDGET_WAITS / min(rate, 1.0))
+    return _fixed_plan(e, n, mode).budget
 
 
 class _FixedPlan:
     """What a fixed-size draw of weight n needs at the tilt x_n, by mode:
-    the batch width, the sizes drawn and their count laws; for pdc also
-    the law of R_1 and log max_j P(R_1 = j)."""
+    the batch width, the sizes drawn, their count laws and the default
+    budget; for pdc also the law of R_1 and log max_j P(R_1 = j)."""
 
     def __init__(self, e: Ensemble, n: int, mode: str):
-        self.x_n = solve_tilt(e, n).x_n
+        if n < 1:
+            raise ParamError("n must be >= 1")
+        sol = solve_tilt(e, n)
+        self.n, self.mode, self.x_n = n, mode, sol.x_n
+        rate = 1.0 / math.sqrt(2.0 * math.pi * sol.variance)
         tbl = _grand_table(e, self.x_n)
         if mode == "pdc":
             if tbl.ks.size == 0 or tbl.ks[0] != 1:
@@ -621,6 +625,7 @@ class _FixedPlan:
             self.first = tbl.law.take(slice(0, 1))
             self.law = tbl.law.take(slice(1, None))
             self.log_top = self.first.log_max()
+            rate /= math.exp(float(self.log_top[0]))
             self.ks = tbl.ks[1:]
             self.width = math.ceil(self.law.expected_points())
         else:
@@ -631,64 +636,64 @@ class _FixedPlan:
             self.ks = tbl.ks[:self.width]
             self.ks_list = self.ks.tolist()
             self.law = tbl.law.take(slice(0, self.width))
+        self.budget = math.ceil(_BUDGET_WAITS / min(rate, 1.0))
+        self.batch_cap = max(64, min(4096, _BATCH_CELLS // max(self.width, 1)))
+
+    def draw(self, rng: RngStream, budget: int | None = None) -> Partition:
+        """First accepted attempt on rng's stream, within budget attempts."""
+        if budget is None:
+            budget = self.budget
+        if budget < 1:
+            raise ParamError("budget must be >= 1")
+        n, ks, law, width = self.n, self.ks, self.law, self.width
+        gen = rng.generator()
+        # batches grow geometrically from 16 rows: cheap when acceptance is
+        # high, amortized when it is small; the fixed schedule keeps the
+        # draw reproducible
+        batch = 16
+        attempts = 0
+        while attempts < budget:
+            rows = min(batch, budget - attempts)
+            if self.mode == "pdc":
+                row, col, cnt = law.draw_sparse(gen, rows)
+                weight = np.bincount(row, weights=ks[col] * cnt,
+                                     minlength=rows)
+                r_1 = n - weight.astype(np.int64)
+                keep = np.exp(self.first.logpmf(r_1[:, None])[:, 0]
+                              - self.log_top)
+                hits = np.nonzero(gen.random(rows) < keep)[0]
+                if hits.size:
+                    h = hits[0]
+                    mine = row == h
+                    return _partition_from_entries(
+                        n, int(r_1[h]), ks[col[mine]], cnt[mine])
+            else:
+                counts = law.draw(gen, (rows, width))
+                hits = np.nonzero(counts @ ks == n)[0]
+                if hits.size:
+                    # accepted on its weight, which is therefore n
+                    return Partition({k: r for k, r in zip(
+                        self.ks_list, counts[hits[0]].tolist()) if r}, n)
+            attempts += rows
+            batch = min(batch * 4, self.batch_cap)
+        raise BudgetExhausted(
+            f"no draw of size {n} in {attempts} attempts at x={self.x_n:.6g}; "
+            "the size may be unreachable (support obstruction) or the budget "
+            "too small for this acceptance rate",
+            attempts=attempts, budget=budget, acceptance_estimate=0.0)
 
 
-def _fixed_plan(e: Ensemble, n: int, mode: str) -> _FixedPlan:
-    return e.cached(("fixed_plan", n, mode), lambda: _FixedPlan(e, n, mode))
-
-
-def _sample_fixed(e: Ensemble, n: int, rng: RngStream, budget: int | None,
-                  mode: str) -> Partition:
-    """First accepted attempt at the tilt x_n; see the two callers."""
-    if n < 1:
-        raise ParamError("n must be >= 1")
-    if budget is None:
-        budget = default_budget(e, n, mode)
-    if budget < 1:
-        raise ParamError("budget must be >= 1")
-    plan = _fixed_plan(e, n, mode)
-    ks, law, width = plan.ks, plan.law, plan.width
-    gen = rng.generator()
-    # batches grow geometrically from 16 rows: cheap when acceptance is
-    # high, amortized when it is small; the fixed schedule keeps the draw
-    # reproducible
-    batch_cap = max(64, min(4096, _BATCH_CELLS // max(width, 1)))
-    batch = 16
-    attempts = 0
-    while attempts < budget:
-        rows = min(batch, budget - attempts)
-        if mode == "pdc":
-            row, col, cnt = law.draw_sparse(gen, rows)
-            weight = np.bincount(row, weights=ks[col] * cnt, minlength=rows)
-            r_1 = n - weight.astype(np.int64)
-            keep = np.exp(plan.first.logpmf(r_1[:, None])[:, 0]
-                          - plan.log_top)
-            hits = np.nonzero(gen.random(rows) < keep)[0]
-            if hits.size:
-                h = hits[0]
-                mine = row == h
-                return _partition_from_entries(
-                    n, int(r_1[h]), ks[col[mine]], cnt[mine])
-        else:
-            counts = law.draw(gen, (rows, width))
-            hits = np.nonzero(counts @ ks == n)[0]
-            if hits.size:
-                # accepted on its weight, which is therefore n
-                return Partition({k: r for k, r in zip(
-                    plan.ks_list, counts[hits[0]].tolist()) if r}, n)
-        attempts += rows
-        batch = min(batch * 4, batch_cap)
-    raise BudgetExhausted(
-        f"no draw of size {n} in {attempts} attempts at x={plan.x_n:.6g}; "
-        "the size may be unreachable (support obstruction) or the budget "
-        "too small for this acceptance rate",
-        attempts=attempts, budget=budget, acceptance_estimate=0.0)
+def _fixed_plan(e: Ensemble, n: int, mode: str):
+    """The plan of mode's draws of weight n, built once per ensemble:
+    a _FixedPlan for rejection and pdc, a _RecursivePlan for exact."""
+    return e.cached(("fixed_plan", n, mode), lambda: (
+        _RecursivePlan(e, n) if mode == "exact" else _FixedPlan(e, n, mode)))
 
 
 def sample_small_rejection(e: Ensemble, n: int, rng: RngStream,
                            budget: int | None = None) -> Partition:
     """First grand-canonical draw at the tilt x_n with total size exactly n."""
-    return _sample_fixed(e, n, rng, budget, "rejection")
+    return _fixed_plan(e, n, "rejection").draw(rng, budget)
 
 
 def sample_small_pdc(e: Ensemble, n: int, rng: RngStream,
@@ -711,7 +716,7 @@ def sample_small_pdc(e: Ensemble, n: int, rng: RngStream,
     P(s) = q_k^s / (s (-log(1 - q_k))). Any other series hits a size at
     rate -log P(R_k = 0) and then draws R_k given R_k >= 1 by inverse CDF.
     """
-    return _sample_fixed(e, n, rng, budget, "pdc")
+    return _fixed_plan(e, n, "pdc").draw(rng, budget)
 
 
 class _RecursivePlan:
@@ -756,7 +761,8 @@ class _RecursivePlan:
             raise TableError("recursive method: every weight vanished")
         return t
 
-    def draw(self, rng: RngStream) -> Partition:
+    def draw(self, rng: RngStream, budget: int | None = None) -> Partition:
+        """One draw on rng's stream; it takes no attempts, so no budget."""
         gen = rng.generator()
         counts: dict[int, int] = {}
         m = self.n
@@ -800,27 +806,24 @@ def sample_small_exact(e: Ensemble, n: int, rng: RngStream) -> Partition:
     ParamError points to mode 'pdc'. O(n) memory; a step costs O(m) for i,
     in scalar code up to m = _SCALAR_WINDOW, and O(sqrt i) for the split.
     """
-    return _RecursivePlan(e, n).draw(rng)
+    return _fixed_plan(e, n, "exact").draw(rng)
 
 
 def sample_small_many(e: Ensemble, n: int, n_samples: int, seed: int,
-                      mode: str = "rejection", base_stream: int = 0,
+                      mode: str = "rejection",
                       budget: int | None = None) -> list[Partition]:
-    """n_samples fixed-size draws, replica i on stream base_stream + i.
+    """n_samples fixed-size draws of weight n, replica i on stream i of seed.
 
-    mode "rejection", "pdc" or "exact"; exact builds its plan once for all
-    replicas. The stream layout makes every replica reproducible on its
-    own.
+    mode "rejection", "pdc" or "exact". Every replica draws from the one
+    plan of (n, mode) the ensemble caches, and replica i equals the single
+    draw of that mode on stream i. budget bounds the attempts of each
+    rejection or pdc replica; exact draws take no attempts.
     """
+    if mode not in ("rejection", "pdc", "exact"):
+        raise ParamError(f"unknown sampling mode {mode!r}")
     if n_samples < 0:
         raise ParamError("n_samples must be >= 0")
-    if mode == "exact":
-        plan = _RecursivePlan(e, n)
-        return [plan.draw(RngStream(seed, base_stream + i))
-                for i in range(n_samples)]
-    draw = {"rejection": sample_small_rejection,
-            "pdc": sample_small_pdc}.get(mode)
-    if draw is None:
-        raise ParamError(f"unknown sampling mode {mode!r}")
-    return [draw(e, n, RngStream(seed, base_stream + i), budget)
-            for i in range(n_samples)]
+    if not n_samples:
+        return []
+    plan = _fixed_plan(e, n, mode)
+    return [plan.draw(RngStream(seed, i), budget) for i in range(n_samples)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from multpart import (
+    ConvergenceError,
     CustomSeries,
     DomainError,
     Ensemble,
@@ -369,6 +370,15 @@ def test_tilt_scaling_at_large_n():
 def test_tilt_memoized():
     e = make("uniform")
     assert solve_tilt(e, 500) is solve_tilt(e, 500)
+
+
+def test_tilt_unreachable_target_raises_convergence_error():
+    # f = 1 + z with parts of size 1 only: mean N(x) = x / (1 + x) < 1/2.
+    # The generic bracket stops its probes before they round onto rho,
+    # where the mean would raise DomainError instead
+    e = Ensemble(CustomSeries([1, 1]), explicit_weights([1]))
+    with pytest.raises(ConvergenceError, match="unreachable"):
+        solve_tilt(e, 1)
 
 
 def test_tilt_nonergodic_pole_gap():

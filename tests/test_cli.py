@@ -12,6 +12,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +21,8 @@ import pytest
 from click.testing import CliRunner
 
 import multpart
-from multpart import verify
-from multpart.cli import main
+from multpart import coefficients, ensemble_from_flag, verify
+from multpart.cli import _fmt_coefficient, main
 
 
 def run_cli(*args: str):
@@ -285,13 +287,16 @@ def test_tilt_strict_partitions_from_yaml(tmp_path):
     assert abs(mean - n) <= 1e-9 * n
 
 
-def test_tilt_config_max_iter_reaches_the_generic_error_exit(tmp_path):
-    # a ConvergenceError is no Param/Regime/Domain/Tail error: exit 4
-    path = tmp_path / "short.yaml"
-    path.write_text("catalog: uniform\nnumerics:\n  tilt_max_iter: 1\n")
-    res = run_cli("tilt", "--ensemble", str(path), "--n", "1000")
+def test_tilt_unreachable_target_reaches_the_generic_error_exit(tmp_path):
+    # f = 1 + z with parts of size 1 only: mean N(x) = x / (1 + x) < 1/2,
+    # so n = 1 is out of reach. A ConvergenceError is no Param/Regime/
+    # Domain/Tail error: exit 4
+    path = tmp_path / "one.yaml"
+    path.write_text("f:\n  kind: custom\n  coefficients: [1, 1]\n"
+                    "weights:\n  rule: explicit\n  values: [1]\n")
+    res = run_cli("tilt", "--ensemble", str(path), "--n", "1")
     assert res.exit_code == 4
-    assert "did not reach" in res.stderr
+    assert "unreachable" in res.stderr
 
 
 def test_tilt_nonpositive_n_exits_1():
@@ -359,6 +364,21 @@ def test_coeffs_and_grand_draws_with_a_fractional_coefficient(tmp_path):
     assert res.exit_code == 0
     got = [float(v) for _, v in csv_rows(res.output)[1:]]
     assert got == [1, 1, 2, 2.5, 3.5, 4, 5.375]
+
+
+def test_coeffs_render_values_past_the_int_string_limit():
+    # a_40 of weighted(1e300) has about 12,000 digits, past the 4,300 that
+    # str() of an int allows
+    ens = "weighted:y=1e300"
+    res = run_cli("coeffs", "--ensemble", ens, "--n", "40")
+    assert res.exit_code == 0
+    want = coefficients(ensemble_from_flag(ens).ensemble, 40).values
+    got = [v for _, v in csv_rows(res.output)[1:]]
+    assert len(got[40]) > 12_000
+    assert [Decimal(v) for v in got] == [Decimal(int(a)) for a in want]
+    q = Fraction(7, 10 ** 5000 + 1)
+    num, den = _fmt_coefficient(q).split("/")
+    assert (Decimal(num), Decimal(den)) == (7, Decimal(10 ** 5000 + 1))
 
 
 def test_coeffs_n_zero():

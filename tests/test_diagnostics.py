@@ -188,18 +188,12 @@ def test_concentration_quantiles(uniform_concentration):
     assert rep.sup_quantile(0.5) == qs["q50"]
 
 
-def test_concentration_json_and_csv(uniform_concentration, tmp_path):
+def test_concentration_json(uniform_concentration):
     rep = uniform_concentration
     doc = json.loads(json.dumps(rep.to_json()))
     assert doc["n"] == 600
     assert len(doc["sup_distances"]) == 20
     assert set(doc["sup_quantiles"]) == {"q10", "q25", "q50", "q75", "q90"}
-    out = tmp_path / "sup.csv"
-    rep.write_sup_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "replica,sup_distance"
-    assert len(lines) == 21
-    assert float(lines[1].split(",")[1]) == rep.sup_distances[0]
 
 
 def test_concentration_reproducible():

@@ -34,7 +34,7 @@ from multpart import (
     solve_tilt,
 )
 
-from multpart import partition_function
+from multpart import partition_function, sampler
 from multpart.sampler import _SCALAR_WINDOW, _RecursivePlan
 from oracles import (dense_geometric_row, dense_pdc_draw, dense_rejection_draw,
                      partitions_into, prefix_walk_draw, recursive_vector_draw)
@@ -784,14 +784,49 @@ def test_small_sampler_validation():
     assert sample_small_many(u, 5, 0, seed=1) == []
 
 
-def test_small_many_reuses_table():
-    # sample_small_many builds the recursive method's tables once for all
-    # replicas; replica i is still the single draw on stream i
+SINGLE_DRAWS = {"rejection": sample_small_rejection, "pdc": sample_small_pdc,
+                "exact": sample_small_exact}
+
+
+@pytest.mark.parametrize("mode", list(SINGLE_DRAWS))
+def test_small_many_reuses_table(mode):
+    # sample_small_many draws every replica from the one cached plan of
+    # (n, mode); replica i is still the single draw on stream i, here from
+    # a plan built afresh on a new ensemble
     for name, n in [("uniform", 12), ("weighted", 300), ("gibbs", 50)]:
-        e = _golden_ensemble(name)
-        many = sample_small_many(e, n, 6, seed=114, mode="exact")
+        many = sample_small_many(_golden_ensemble(name), n, 6, seed=114,
+                                 mode=mode)
         for i in (0, 5):
-            assert sample_small_exact(e, n, RngStream(114, i)) == many[i]
+            fresh = _golden_ensemble(name)
+            assert SINGLE_DRAWS[mode](fresh, n, RngStream(114, i)) == many[i]
+
+
+def test_exact_plan_is_built_once_per_n(monkeypatch):
+    # the recursive method's tables are cached with the ensemble: a second
+    # draw at the same n, single or many, runs no mass recurrence
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return partition_function._mass_recurrence(*args)
+
+    monkeypatch.setattr(sampler, "_mass_recurrence", counted)
+    e = make("uniform")
+    first = sample_small_exact(e, 200, RngStream(3, 0))
+    assert calls == [200]
+    assert sample_small_exact(e, 200, RngStream(3, 1)).weight == 200
+    assert sample_small_many(e, 200, 2, seed=3, mode="exact")[0] == first
+    assert calls == [200]
+    sample_small_exact(e, 201, RngStream(3, 0))
+    assert calls == [200, 201]
+
+
+@pytest.mark.parametrize("mode", list(SINGLE_DRAWS))
+def test_small_many_without_samples_builds_no_plan(mode):
+    e = make("uniform")
+    assert sample_small_many(e, 50, 0, seed=1, mode=mode) == []
+    assert not [k for k in e._memo
+                if isinstance(k, tuple) and k[0] in ("fixed_plan", "tilt")]
 
 
 # draws recorded when the recursive method replaced the prefix-row walk,
