@@ -47,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble, Regime
-from .errors import (ConvergenceError, DomainError, ParamError,
-                     QuadratureError, RegimeError)
+from .errors import ConvergenceError, DomainError, ParamError, QuadratureError
 from .series import EVAL_RADIUS_FRACTION
 
 _V_BASE = 40.0
@@ -79,23 +78,6 @@ _GK_GAUSS[1::2] = np.concatenate((_WG, _WG[::-1]))
 # starting cuts: halving toward the endpoint singularities at v = 0, doubling
 # over the exponentially decaying tail
 _CUTS = 2.0 ** np.arange(-30, 7)
-
-
-def _require_ergodic(e: Ensemble, what: str) -> None:
-    r = e.regime
-    if not r.ergodic:
-        raise RegimeError(
-            f"{what} needs an ergodic ensemble (ErgodicSupercritical or "
-            f"ErgodicPoleAtOne); {e.label or 'ensemble'} is {r}")
-
-
-def _growth_beta(e: Ensemble) -> float:
-    beta = e.beta
-    if beta is None or beta <= 0:
-        raise RegimeError(
-            f"cumulative weight exponent unavailable or nonpositive for "
-            f"{e.label or 'ensemble'}")
-    return float(beta)
 
 
 def _upper_cutoff(beta: float, t: float = 0.0) -> float:
@@ -198,8 +180,8 @@ def _growth_constant(e: Ensemble, name: str, tol: float,
     to absolute accuracy tol; computed once per ensemble (Ensemble.cached,
     keyed by name)."""
     def build() -> float:
-        _require_ergodic(e, name)
-        beta = _growth_beta(e)
+        e.require(name)
+        beta = float(e.beta)
         w = _integrand(e, beta, name)
         v0 = _eval_floor(e)
         front = _front_piece(w, beta + shift, v0) if v0 > 0.0 else 0.0
@@ -234,8 +216,8 @@ def sigma_sq(e: Ensemble) -> float:
 
 def phi_at_zero_divergent(e: Ensemble) -> bool:
     """True when the shape diverges at t = 0 (pole at 1 with beta <= 1)."""
-    beta = _growth_beta(e)
-    return e.series.radius == 1.0 and 0.0 < beta <= 1.0
+    e.require("phi_at_zero_divergent")
+    return e.series.radius == 1.0 and e.beta <= 1.0
 
 
 def _shape_values(e: Ensemble, beta: float, om: float, ts: np.ndarray,
@@ -262,11 +244,11 @@ def limit_shape(e: Ensemble, t):
     phi_at_zero_divergent); t = 0 is accepted only in the finite case. All
     points of an array share one quadrature call.
     """
-    _require_ergodic(e, "limit_shape")
+    e.require("limit_shape")
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError(f"limit shape evaluated at t={t.min()}, not >= 0")
-    beta = _growth_beta(e)
+    beta = float(e.beta)
     if np.any(t == 0.0) and phi_at_zero_divergent(e):
         raise DomainError(
             "limit shape diverges at t=0 for this ensemble (singularity at 1 "
@@ -317,10 +299,10 @@ def shape_curve(e: Ensemble, t_max: float = 5.0,
     v^{beta+1} G - v^beta g over the head and the tail of the integral
     check.
     """
-    _require_ergodic(e, "shape_curve")
+    e.require("shape_curve")
     if not (t_max > 0.0) or grid_size < 2:
         raise ParamError("shape_curve needs t_max > 0 and grid_size >= 2")
-    beta = _growth_beta(e)
+    beta = float(e.beta)
     om = omega(e)
     ts = np.linspace(t_max / grid_size, t_max, grid_size)
     v0 = _eval_floor(e)
@@ -416,16 +398,14 @@ def _bracket(e: Ensemble, n: int, probe) -> tuple[float, float, float]:
     rho = e.rho
     regime = e.regime
     guess = None  # (right end, distance of the guess below it)
-    if regime.ergodic:
+    theta = e.theta
+    if regime.ergodic and theta is not None and theta > 0:
         try:
-            beta = _growth_beta(e)
-            theta = e.theta
-            if theta is not None and theta > 0:
-                tau0 = (omega(e) * theta / n) ** (1.0 / (beta + 1.0))
-                if 0.0 < tau0 < 0.5:
-                    guess = (1.0, tau0)
-        except (RegimeError, QuadratureError):
-            guess = None
+            tau0 = (omega(e) * theta / n) ** (1.0 / (float(e.beta) + 1.0))
+            if 0.0 < tau0 < 0.5:
+                guess = (1.0, tau0)
+        except QuadratureError:
+            pass
     elif regime is Regime.NONERGODIC_GRAND_CANONICAL:
         m = e.series.singularity.order or 1.0
         b1 = max(e.weights.b_1, 1e-6)
@@ -563,5 +543,5 @@ def scaling_alpha(e: Ensemble, n: int) -> float:
     scaling (the natural choice degenerates to a constant) and RegimeError
     is raised.
     """
-    _require_ergodic(e, "scaling_alpha")
+    e.require("scaling_alpha")
     return solve_tilt(e, n).alpha

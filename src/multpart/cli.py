@@ -6,10 +6,11 @@ Five subcommands: `shape` (limit-shape CSV), `sample` (partition JSONL),
 catalog name (`uniform`), a name with inline parameters (`weighted:y=0.5`),
 or a path to a YAML config file.
 
-Exit codes: 0 success, 1 usage/parameter errors, 2 regime/domain errors,
-3 sampling budget exhaustion, 4 numerical failures. Output formats use `.`
-decimals and 17 significant digits; reruns with the same arguments produce
-byte-identical files.
+Exit codes: 0 success, 1 usage/parameter errors (a malformed argument),
+2 regime/domain errors (the ensemble's regime refuses the quantity, or a
+tilt lies outside [0, rho)), 3 sampling budget exhaustion, 4 numerical
+failures. Output formats use `.` decimals and 17 significant digits;
+reruns with the same arguments produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -140,8 +141,6 @@ def cmd_sample(ens, mode, n, x, count, seed, out):
     else:
         if n is None:
             raise click.UsageError(f"mode {mode!r} requires --n")
-        if n < 0:
-            raise click.UsageError("--n must be >= 0")
         parts = sample_small_many(e, n, count, seed,
                                   mode=mode.removeprefix("small-"),
                                   budget=cfg.numerics.budget)
@@ -159,8 +158,6 @@ def cmd_sample(ens, mode, n, x, count, seed, out):
 @_guarded
 def cmd_tilt(ens, n):
     """Solve mean weight = n and print the tilt and its scaling numbers."""
-    if n < 1:
-        raise click.UsageError("--n must be a positive integer")
     cfg = ensemble_from_flag(ens)
     sol = solve_tilt(cfg.ensemble, n)
     for name, value in (("x_n", sol.x_n), ("tau_n", sol.tau_n),

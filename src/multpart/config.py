@@ -51,9 +51,10 @@ class Numerics:
     budget: int | None = None
 
     def __post_init__(self):
-        if self.budget is not None and not (
-                isinstance(self.budget, int) and self.budget > 0):
-            raise ConfigError("numerics.budget: must be a positive integer")
+        b = self.budget
+        if b is not None and (type(b) is not int or b < 1):  # True is no count
+            raise ConfigError(
+                f"numerics.budget: expected a positive integer, got {b!r}")
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,7 @@ def _build_numerics(sec: Any, path: str) -> Numerics:
         return Numerics()
     sec = _require_mapping(sec, path)
     _reject_extras(sec, ("budget",), path)
-    if "budget" not in sec:
-        return Numerics()
-    v = sec["budget"]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise _fail(f"{path}.budget", f"expected an integer, got {v!r}")
-    return Numerics(budget=v)
+    return Numerics(budget=sec.get("budget"))
 
 
 def parse_config(doc: Any, source: str = "config") -> EnsembleConfig:

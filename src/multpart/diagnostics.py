@@ -18,7 +18,7 @@ import numpy as np
 
 from .asymptotics import limit_shape, solve_tilt
 from .ensemble import Ensemble, Regime
-from .errors import ParamError, RegimeError
+from .errors import ParamError
 from .partition_function import CoefficientTable
 from .sampler import Partition, sample_small_many
 
@@ -135,10 +135,7 @@ class ConcentrationPrediction:
 
 
 def _check_concentration_inputs(e: Ensemble, grid, epsilon: float):
-    if not e.regime.ergodic:
-        raise RegimeError(
-            f"concentration experiment needs an ergodic ensemble; "
-            f"{e.label or 'ensemble'} is {e.regime}")
+    e.require("a concentration experiment")
     if not (epsilon > 0):
         raise ParamError("epsilon must be positive")
     grid = tuple(float(t) for t in (DEFAULT_GRID if grid is None else grid))
@@ -337,10 +334,7 @@ def variance_ratio_probe(e: Ensemble, x_grid) -> VarianceRatioResult:
     Only meaningful where a pole sits inside the unit disc; elsewhere the
     ratio tends to 1 and RegimeError is raised to prevent misreading.
     """
-    if e.regime is not Regime.NONERGODIC_GRAND_CANONICAL:
-        raise RegimeError(
-            f"variance ratio probe expects NonergodicGrandCanonical; "
-            f"{e.label or 'ensemble'} is {e.regime}")
+    e.require("variance_ratio_probe", Regime.NONERGODIC_GRAND_CANONICAL)
     pts = []
     for x in x_grid:
         x = float(x)
@@ -399,10 +393,7 @@ def degenerate_shape_probe(e: Ensemble, n: int, replicas: int, seed: int = 0,
                            ) -> DegenerateShapeReport:
     """Exact-sampler survey of the large-part mass fraction at weight n;
     table is ignored (it fed the exact sampler's former prefix walk)."""
-    if e.regime is not Regime.NONERGODIC_GRAND_CANONICAL:
-        raise RegimeError(
-            f"degenerate shape probe expects NonergodicGrandCanonical; "
-            f"{e.label or 'ensemble'} is {e.regime}")
+    e.require("degenerate_shape_probe", Regime.NONERGODIC_GRAND_CANONICAL)
     if replicas < 1:
         raise ParamError("need at least one replica")
     parts = sample_small_many(e, n, replicas, seed, mode="exact")

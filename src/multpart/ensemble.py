@@ -441,6 +441,9 @@ class Regime(Enum):
     OUT_OF_SCOPE: the cumulative-weight growth hypotheses fail (bounded
     support, exponent <= 0, no weight on part size 1, or an unclassifiable
     singularity).
+
+    classify_regime decides the tag; Ensemble.require refuses a quantity
+    outside its regimes and names the hypothesis that decided.
     """
 
     ERGODIC_SUPERCRITICAL = "ErgodicSupercritical"
@@ -454,8 +457,10 @@ class Regime(Enum):
 
     @property
     def ergodic(self) -> bool:
-        return self in (Regime.ERGODIC_SUPERCRITICAL,
-                        Regime.ERGODIC_POLE_AT_ONE)
+        return self in _ERGODIC
+
+
+_ERGODIC = (Regime.ERGODIC_SUPERCRITICAL, Regime.ERGODIC_POLE_AT_ONE)
 
 
 class Ensemble:
@@ -511,7 +516,23 @@ class Ensemble:
 
     @property
     def regime(self) -> Regime:
-        return self.cached("regime", lambda: classify_regime(self))
+        return self.cached("regime", lambda: _classify(self))[0]
+
+    def require(self, what: str, *allowed: Regime) -> None:
+        """Raise RegimeError unless the regime is one of allowed (by default
+        the two ergodic ones); the message names the deciding hypothesis."""
+        allowed = allowed or _ERGODIC
+        regime, why = self.cached("regime", lambda: _classify(self))
+        if regime not in allowed:
+            raise RegimeError(
+                f"{what} needs {' or '.join(map(str, allowed))}; "
+                f"{self.label} is {regime}: {why}")
+
+    def check_tilt(self, x: float) -> None:
+        """Raise DomainError unless x lies in the tilt domain [0, rho)."""
+        if not (0.0 <= x < self.rho):
+            raise DomainError(
+                f"tilt x={x} outside [0, {self.rho}) for {self.label}")
 
     @property
     def is_rational(self) -> bool:
@@ -546,9 +567,7 @@ class Ensemble:
         term is >= 0 and adding a float >= 0 never lowers a float sum, so the
         full first total would exceed stop_above too.
         """
-        if not (0.0 <= x < self.rho):
-            raise DomainError(
-                f"tilt x={x} outside [0, {self.rho}) for this ensemble")
+        self.check_tilt(x)
         segs = [[0.0] * len(cuts) for _ in wants]  # per segment between cuts
         if x == 0.0:
             return segs
@@ -644,35 +663,37 @@ class Ensemble:
 
 
 def classify_regime(e: Ensemble) -> Regime:
-    """Place an ensemble in the grand-canonical phase diagram.
+    """Place an ensemble in the grand-canonical phase diagram."""
+    return _classify(e)[0]
 
-    Driven by rho_1 and the singularity descriptor of f together with the
-    growth exponent of B_k. Unbounded B_k with positive exponent is required;
-    otherwise the asymptotic layer's hypotheses all fail and the tag is
-    OUT_OF_SCOPE.
-    """
+
+def _classify(e: Ensemble) -> tuple[Regime, str]:
+    """(regime, the hypothesis that decided it). Unbounded B_k with b_1 > 0
+    and exponent beta > 0.05 is required, else the asymptotic layer's
+    hypotheses all fail and the tag is OUT_OF_SCOPE; then rho_1 and the
+    singularity of f decide."""
     w = e.weights
     if w.finite_support:
-        return Regime.OUT_OF_SCOPE
-    if w.b_1 <= 0:
-        # No weight on part size 1: the b_1 = 1 renormalization does not
-        # exist and the support misses some weights entirely.
-        return Regime.OUT_OF_SCOPE
+        return Regime.OUT_OF_SCOPE, "finite support: B_k is bounded"
+    if w.b_1 <= 0:  # the b_1 = 1 renormalization does not exist
+        return Regime.OUT_OF_SCOPE, "b_1 = 0: part size 1 carries no weight"
     beta = w.beta
     if beta is None or beta <= 0.05:
-        return Regime.OUT_OF_SCOPE
-    rho1 = e.series.radius
-    sing = e.series.singularity
+        return Regime.OUT_OF_SCOPE, (
+            f"beta = {beta}: B_k must grow like theta k^beta, beta > 0.05")
+    rho1, kind = e.series.radius, e.series.singularity.kind
     if rho1 > 1.0:
-        return Regime.ERGODIC_SUPERCRITICAL
+        return Regime.ERGODIC_SUPERCRITICAL, f"rho_1 = {rho1} > 1"
     if rho1 == 1.0:
-        return (Regime.ERGODIC_POLE_AT_ONE if sing.is_pole
-                else Regime.OUT_OF_SCOPE)
-    if sing.is_pole:
-        return Regime.NONERGODIC_GRAND_CANONICAL
-    if sing.kind == "essential":
-        return Regime.ESSENTIAL_SUBCRITICAL
-    return Regime.OUT_OF_SCOPE
+        return ((Regime.ERGODIC_POLE_AT_ONE, "rho_1 = 1 with a pole")
+                if kind == "pole"
+                else (Regime.OUT_OF_SCOPE, "rho_1 = 1 without a pole"))
+    at = f"rho_1 = {rho1} < 1 with"
+    if kind == "pole":
+        return Regime.NONERGODIC_GRAND_CANONICAL, f"{at} a pole"
+    if kind == "essential":
+        return Regime.ESSENTIAL_SUBCRITICAL, f"{at} an essential singularity"
+    return Regime.OUT_OF_SCOPE, f"{at} neither a pole nor an essential one"
 
 
 # ---------------------------------------------------------------------------

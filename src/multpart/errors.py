@@ -12,7 +12,8 @@ class MultpartError(Exception):
 
 
 class ParamError(MultpartError):
-    """A constructor or command argument is malformed or out of range."""
+    """A constructor or command argument is malformed: of the wrong type,
+    an unknown name, or a count, size or budget out of its range."""
 
 
 class UnknownNameError(ParamError):
@@ -27,11 +28,13 @@ class ConfigError(ParamError):
 
 
 class DomainError(MultpartError):
-    """An evaluation point lies outside the mathematical domain."""
+    """An evaluation point lies outside the mathematical domain; every tilt
+    x outside [0, rho) raises it (Ensemble.check_tilt)."""
 
 
 class RegimeError(MultpartError):
-    """The requested quantity is undefined in this ensemble's regime."""
+    """The requested quantity is undefined in this ensemble's regime; the
+    message names the hypothesis that decided it (Ensemble.require)."""
 
 
 class NegativeCoefficientError(MultpartError):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .asymptotics import solve_tilt
 from .ensemble import Ensemble
-from .errors import ConvergenceError, ParamError, RegimeError, TableError
+from .errors import ConvergenceError, ParamError, TableError
 from .series import (ExponentialSeries, GeometricSeries, _maybe_int,
                      power_coefficients)
 
@@ -122,8 +122,7 @@ def product_tail_cutoff(e: Ensemble, x: float, tol: float = PRODUCT_TAIL_TOL) ->
     series has nonnegative terms), so the neglected factors change log F
     by less than tol.
     """
-    if not (0.0 <= x < e.rho):
-        raise ParamError(f"x={x} outside [0, {e.rho})")
+    e.check_tilt(x)
     if x == 0.0:
         return 1
     end = e.weights.support_end
@@ -143,15 +142,12 @@ def product_tail_cutoff(e: Ensemble, x: float, tol: float = PRODUCT_TAIL_TOL) ->
                 f"product truncation bound would not close at x={x}")
 
 
-def log_partition_value(e: Ensemble, x: float,
-                        tol: float = PRODUCT_TAIL_TOL) -> float:
-    """log F(x) from the product form, truncated with tail below tol.
-
-    tol is absolute on the log, i.e. relative on F itself.
-    """
+def log_partition_value(e: Ensemble, x: float) -> float:
+    """log F(x) from the product form, truncated with tail below
+    PRODUCT_TAIL_TOL: absolute on the log, i.e. relative on F itself."""
     if x == 0.0:
         return 0.0
-    cutoff = product_tail_cutoff(e, x, tol)
+    cutoff = product_tail_cutoff(e, x)
     ks = np.arange(1, cutoff + 1)
     us = np.power(x, ks.astype(np.float64))
     return float(np.dot(e.weights.values(ks), e.series.log_values(us)))
@@ -365,7 +361,7 @@ def _factor_weights_float(e: Ensemble, k: int, b: float, n_max: int,
 def _default_tilt(e: Ensemble, n_max: int) -> float:
     try:
         return solve_tilt(e, max(n_max, 1)).x_n
-    except (ConvergenceError, RegimeError) as exc:
+    except ConvergenceError as exc:
         raise TableError(
             f"no tilt found for prefix rows at n={n_max}; pass x0 "
             f"explicitly ({exc})") from exc
@@ -556,8 +552,9 @@ def point_mass(e: Ensemble, x: float, m: int) -> float:
     Runs the tilted Euler-transform recurrence up to m; no table is built
     and no truncation can occur.
     """
-    if not (0.0 < x < e.rho):
-        raise ParamError(f"x={x} outside (0, {e.rho})")
+    e.check_tilt(x)
+    if x == 0.0:  # the table fallback takes log x
+        raise ParamError("point_mass needs x > 0")
     if m < 0:
         raise ParamError("m must be >= 0")
     return float(_tilted_masses(e, x, m)[m])
@@ -570,10 +567,7 @@ def local_limit_probe(e: Ensemble, x: float, u_grid) -> list[tuple[float, float]
     x -> rho in the ergodic regimes. The tilted recurrence runs once, up
     to the largest probed m.
     """
-    regime = e.regime
-    if not regime.ergodic:
-        raise RegimeError(
-            f"local limit probe needs an ergodic ensemble, got {regime}")
+    e.require("local_limit_probe")
     us = [float(u) for u in u_grid]
     if not us:
         return []

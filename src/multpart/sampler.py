@@ -539,16 +539,11 @@ def _grand_table(e: Ensemble, x: float) -> _GrandTable:
     return e.cached(("grand_table", x), lambda: _GrandTable(e, x))
 
 
-def _check_sampling_x(e: Ensemble, x: float) -> None:
-    if not (0.0 <= x < e.rho):
-        raise ParamError(f"x={x} outside [0, {e.rho})")
-
-
 def sample_count(e: Ensemble, k: int, x: float, rng: RngStream) -> int:
     """One exact draw of R_k under the independent-count measure at x."""
     if k < 1:
         raise ParamError("part size k must be >= 1")
-    _check_sampling_x(e, x)
+    e.check_tilt(x)
     b = e.weights.value(k)
     if x == 0.0 or b == 0.0:
         return 0
@@ -573,7 +568,7 @@ def sample_grand(e: Ensemble, x: float, rng: RngStream) -> Partition:
     Sizes beyond a cutoff K* are never drawn; K* certifies that the
     chance of any part out there is below 1e-9 total.
     """
-    _check_sampling_x(e, x)
+    e.check_tilt(x)
     if x == 0.0:
         return Partition({}, 0)
     tbl = _grand_table(e, x)

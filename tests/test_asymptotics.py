@@ -22,11 +22,13 @@ from multpart import (
     make,
     omega,
     phi_at_zero_divergent,
+    predict_concentration,
     scaling_alpha,
     shape_curve,
     sigma_sq,
     solve_tilt,
     symmetric_rescale,
+    variance_ratio_probe,
 )
 
 from multpart import asymptotics
@@ -546,6 +548,38 @@ def test_asymptotics_refuse_nonergodic():
         limit_shape(w2, 1.0)
     with pytest.raises(RegimeError):
         scaling_alpha(w2, 100)
+
+
+def test_shape_divergence_refuses_nonergodic():
+    # limit_shape refuses weighted(2), so the question of its divergence
+    # at t = 0 is refused too
+    with pytest.raises(RegimeError):
+        phi_at_zero_divergent(make("weighted", y=2))
+
+
+_ESSENTIAL = Ensemble(CustomSeries(lambda j: 1 / math.factorial(j) ** 0.5,
+                                   radius=0.5,
+                                   singularity=Singularity("essential")),
+                      constant_weights(), label="essential(0.5)")
+
+
+@pytest.mark.parametrize("e,op,needle", [
+    (make("restricted", parts="evens"),
+     lambda e: predict_concentration(e, 1000), "b_1 = 0"),
+    (make("ewens", theta=1), omega, "beta"),
+    (Ensemble(GeometricSeries(1), explicit_weights([1, 1]), label="two"),
+     lambda e: limit_shape(e, 1.0), "finite support"),
+    (make("weighted", y=2), shape_curve, "rho_1"),
+    (_ESSENTIAL, lambda e: scaling_alpha(e, 100), "EssentialSubcritical"),
+    # the reverse gate: a probe defined only in the nonergodic regime
+    (make("uniform"), lambda e: variance_ratio_probe(e, [0.5]), "rho_1"),
+], ids=["evens", "ewens", "finite", "weighted2", "essential", "reverse"])
+def test_regime_refusal_names_its_hypothesis(e, op, needle):
+    with pytest.raises(RegimeError) as err:
+        op(e)
+    msg = str(err.value)
+    assert needle in msg
+    assert f"{e.label} is {e.regime}: " in msg
 
 
 def test_asymptotics_refuse_out_of_scope():

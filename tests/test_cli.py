@@ -100,6 +100,12 @@ def test_shape_nonergodic_exits_2():
     assert "NonergodicGrandCanonical" in res.stderr
 
 
+def test_shape_out_of_scope_names_hypothesis():
+    res = run_cli("shape", "--ensemble", "restricted:parts=evens")
+    assert res.exit_code == 2
+    assert "b_1 = 0" in res.stderr
+
+
 def test_shape_unknown_ensemble_exits_1():
     res = run_cli("shape", "--ensemble", "no_such_family")
     assert res.exit_code == 1
@@ -217,6 +223,13 @@ def test_sample_grand_requires_x():
     res = run_cli("sample", "--ensemble", "uniform", "--mode", "grand")
     assert res.exit_code == 1
     assert "requires --x" in res.stderr
+
+
+def test_sample_grand_tilt_outside_domain_exits_2():
+    res = run_cli("sample", "--ensemble", "uniform", "--mode", "grand",
+                  "--x", "1.5")
+    assert res.exit_code == 2
+    assert "outside" in res.stderr
 
 
 def test_sample_small_requires_n():

@@ -39,6 +39,25 @@ def test_numerics_validation(kwargs):
         Numerics(**kwargs)
 
 
+def test_numerics_refuses_bool_budget():
+    # bool is an int subclass; a budget of True is still no count
+    with pytest.raises(ConfigError, match="numerics.budget"):
+        Numerics(budget=True)
+
+
+def test_yaml_null_budget_is_the_default(tmp_path):
+    p = tmp_path / "ens.yaml"
+    p.write_text("catalog: uniform\nnumerics:\n  budget: null\n")
+    assert load_config(str(p)).numerics == Numerics()
+
+
+def test_yaml_bool_budget_refused(tmp_path):
+    p = tmp_path / "ens.yaml"
+    p.write_text("catalog: uniform\nnumerics:\n  budget: true\n")
+    with pytest.raises(ConfigError, match="numerics.budget"):
+        load_config(str(p))
+
+
 # ---------------------------------------------------------------------------
 # catalog documents
 

@@ -16,7 +16,10 @@ from multpart.ensemble import (Ensemble, PartSet, Regime, WeightSequence,
                                resonant_mask)
 from multpart.errors import (ConvergenceError, DomainError, ParamError,
                              RegimeError)
-from multpart.sampler import RngStream, sample_grand
+from multpart.partition_function import (local_limit_probe,
+                                         log_partition_value, point_mass,
+                                         product_tail_cutoff)
+from multpart.sampler import RngStream, sample_count, sample_grand
 from multpart.series import CustomSeries, ExponentialSeries, GeometricSeries, Singularity
 
 from oracles import central_diff, direct_mean_var, fsum_tail_moments
@@ -464,6 +467,30 @@ def test_memo_stores_nothing_when_the_build_raises():
         e.cached("key", fail)
     assert "key" not in e._memo
     assert solve_tilt(e, 1000).residual <= 1e-10 * 1000
+
+
+# -- the tilt domain ---------------------------------------------------------
+
+
+_TILT_ENTRIES = {
+    "mean_N": lambda e, x: e.mean_N(x),
+    "tail_moments": lambda e, x: e.tail_moments(x, (0, 5)),
+    "product_tail_cutoff": product_tail_cutoff,
+    "log_partition_value": log_partition_value,
+    "sample_grand": lambda e, x: sample_grand(e, x, RngStream(1)),
+    "sample_count": lambda e, x: sample_count(e, 2, x, RngStream(1)),
+    "point_mass": lambda e, x: point_mass(e, x, 3),
+    "local_limit_probe": lambda e, x: local_limit_probe(e, x, (0.0,)),
+}
+
+
+@pytest.mark.parametrize("where", ["rho", "negative"])
+@pytest.mark.parametrize("entry", list(_TILT_ENTRIES))
+def test_tilt_outside_domain_is_domain_error(entry, where):
+    e = make("uniform")
+    x = e.rho if where == "rho" else -0.1
+    with pytest.raises(DomainError, match="outside"):
+        _TILT_ENTRIES[entry](e, x)
 
 
 # -- regimes -----------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from multpart import (
     CustomSeries,
+    DomainError,
     Ensemble,
     ExponentialSeries,
     GeometricSeries,
@@ -464,7 +465,7 @@ def test_product_tail_cutoff_certificate():
     dropped = -sum(math.log1p(-0.5 ** k) for k in range(K + 1, 4 * K))
     assert dropped < 1e-12
     assert product_tail_cutoff(u, 0.0) == 1
-    with pytest.raises(ParamError):
+    with pytest.raises(DomainError):
         product_tail_cutoff(u, 1.0)
     # finite support: the cutoff is the support end itself
     from multpart import explicit_weights, GeometricSeries

@@ -13,6 +13,7 @@ from scipy import special, stats
 from multpart import (
     BudgetExhausted,
     CustomSeries,
+    DomainError,
     EmptySupportError,
     GeometricSeries,
     Ensemble,
@@ -247,9 +248,9 @@ def test_count_trivial_cases():
     assert sample_count(evens, 1, 0.5, RngStream(1)) == 0  # b_1 = 0
     with pytest.raises(ParamError):
         sample_count(u, 0, 0.5, RngStream(1))
-    with pytest.raises(ParamError):
+    with pytest.raises(DomainError):
         sample_count(u, 1, 1.0, RngStream(1))
-    with pytest.raises(ParamError):
+    with pytest.raises(DomainError):
         sample_count(u, 1, -0.1, RngStream(1))
 
 
