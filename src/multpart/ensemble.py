@@ -42,7 +42,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, FitUnstable, ParamError, RegimeError
-from .series import ExponentialSeries, Number, SeriesFunction, _as_exact
+from .series import (ExponentialSeries, Number, SeriesFunction, _as_exact,
+                     _maybe_int)
 
 _BLOCK = 4096
 _STOP_REL = 1e-14
@@ -187,13 +188,15 @@ class WeightSequence:
     def value(self, k: int) -> float:
         return float(self.values(np.array([k]))[0])
 
-    def exact_values(self, n: int) -> list[Fraction] | None:
-        """b_1..b_n as Fractions, None when the b_k are not exact rationals."""
+    def exact_values(self, n: int) -> list[int | Fraction] | None:
+        """b_1..b_n as ints where whole and Fractions otherwise, None when
+        the b_k are not exact rationals."""
         se = _as_exact(self.scale)
         bs = None if se is None else self._exact_values(n)
-        if bs is None or se == 1:
+        # as_integer_ratio: no Fraction compare per table build
+        if bs is None or se.as_integer_ratio() == (1, 1):
             return bs
-        return [b * se for b in bs]
+        return [_maybe_int(b * se) for b in bs]
 
     @property
     def is_rational(self) -> bool:
@@ -259,7 +262,7 @@ class _Constant(WeightSequence):
         return np.ones(len(ks))
 
     def _exact_values(self, n):
-        return [Fraction(1)] * n
+        return [1] * n
 
     def prefix_sums(self, ks):
         return float(self.scale) * np.asarray(ks, dtype=np.int64).astype(float)
@@ -286,9 +289,7 @@ class _Indicator(WeightSequence):
         return self.part_set.mask(ks).astype(float)
 
     def _exact_values(self, n):
-        one, zero = Fraction(1), Fraction(0)
-        return [one if m else zero
-                for m in self.part_set.mask(np.arange(1, n + 1))]
+        return self.part_set.mask(np.arange(1, n + 1)).astype(np.int64).tolist()
 
     _block = _Constant._block  # b_k <= 1, as for the constant rule
 
@@ -319,8 +320,9 @@ class _PowerLaw(WeightSequence):
         th, be = _as_exact(self.theta_param), _as_exact(self.beta_param)
         if th is None or be is None or be.denominator != 1:
             return None
+        th = _maybe_int(th)
         B = [k ** be.numerator for k in range(n + 1)]
-        return [th * (B[k] - B[k - 1]) for k in range(1, n + 1)]
+        return [_maybe_int(th * (B[k] - B[k - 1])) for k in range(1, n + 1)]
 
     def prefix_sums(self, ks):
         ks = np.asarray(ks, dtype=np.int64)
@@ -365,7 +367,11 @@ class _Monomial(WeightSequence):
         c, p = _as_exact(self.coeff), _as_exact(self.power)
         if c is None or p is None or p.denominator != 1:
             return None
-        return [c * Fraction(k) ** p.numerator for k in range(1, n + 1)]
+        p = p.numerator
+        if p < 0:
+            return [_maybe_int(c / k ** -p) for k in range(1, n + 1)]
+        c = _maybe_int(c)
+        return [_maybe_int(c * k ** p) for k in range(1, n + 1)]
 
     def _block(self, lo, hi, s):
         c, p = float(self.coeff), float(self.power)
@@ -391,7 +397,8 @@ class _Explicit(WeightSequence):
         self.support_end = len(values)
         self._floats = np.array([float(v) for v in values])
         exact = [_as_exact(v) for v in values]
-        self._exact = None if any(v is None for v in exact) else exact
+        self._exact = (None if any(v is None for v in exact)
+                       else [_maybe_int(v) for v in exact])
         self._args = f"({len(values)} values)"
 
     def _values(self, ks):
@@ -403,7 +410,7 @@ class _Explicit(WeightSequence):
     def _exact_values(self, n):
         if self._exact is None:
             return None
-        return (self._exact + [Fraction(0)] * (n - self.support_end))[:n]
+        return (self._exact + [0] * (n - self.support_end))[:n]
 
     def _block(self, lo, hi, s):
         # summed over the block: a difference of prefix sums can cancel
@@ -549,7 +556,7 @@ class Ensemble:
                 "b_1 = 0: no normalization trade exists (part size 1 carries "
                 "no weight)")
         exact = self.weights.exact_values(1)
-        factor = b1 if exact is None else exact[0]
+        factor = b1 if exact is None else Fraction(exact[0])
         return Ensemble(self.series ** factor, self.weights.scaled(1 / factor),
                         label=self.label + " (normalized)")
 

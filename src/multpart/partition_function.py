@@ -9,8 +9,10 @@ summed, tabulated and turned into point masses:
   exact (integers, unscaled to ints/Fractions at the end) whenever the
   ensemble data are rational, extended-precision floats otherwise. An
   exponential series fills the table by the log-derivative recurrence
-  m a_m = sum_i d_i a_{m-i}; a geometric series with b_k = 1 for every
-  k <= N (uniform and weighted(y)) is summed over Durfee squares,
+  m a_m = sum_i d_i a_{m-i}, which exact tables run with a few terms per
+  step where k b_k is a polynomial in k (gibbs with integer beta, ewens);
+  a geometric series with b_k = 1 for every k <= N (uniform and
+  weighted(y)) is summed over Durfee squares,
   F = sum_d y^d z^{d^2} / prod_{i<=d} (1 - z^i)(1 - y z^i), in
   2 floor(sqrt(N)) scans; any other geometric series with integer
   b_k <= 64 takes b_k scans of 1/(1 - y x^k) per k; every other factor
@@ -62,6 +64,9 @@ FACTOR_WEIGHT_CUT = 1e-20
 # exact (object) and long-double scans cross over near 36 and 10
 _LIST_STRIDE_EXACT = 32
 _LIST_STRIDE_FLOAT = 10
+# exact exponential tables try up to this many factors (1 - r z) in their
+# short form: gibbs(theta, beta) with integer beta <= 3 needs beta + 1
+_MAX_DIFFERENCES = 4
 
 
 def partition_numbers(n_max: int) -> list[int]:
@@ -270,49 +275,111 @@ def _durfee_sum(a: np.ndarray, p, r) -> None:
         d += 1
 
 
+def _short_form(d: list, r: int) -> tuple[list, int]:
+    """(p, t) with (1 - r z)^t D(z) = P(z) below degree len(d), where
+    D(z) = sum_i d[i] z^i and P(z) = sum_j p[j] z^j.
+
+    Up to _MAX_DIFFERENCES successive differences d[i] - r d[i-1] are
+    taken, and the t whose P, cut after its last nonzero entry, is shortest
+    is kept (the smallest such t). d[i] = poly(i) r^i with poly of degree
+    beta gives at most beta + 1 entries at t = beta + 1; t = 0 keeps D
+    itself, cut.
+    """
+    best, best_t = _cut(d), 0
+    for t in range(1, _MAX_DIFFERENCES + 1):
+        d = d[:1] + [d[i] - r * d[i - 1] for i in range(1, len(d))]
+        p = _cut(d)
+        if len(p) < len(best):
+            best, best_t = p, t
+    return best, best_t
+
+
+def _cut(p: list) -> list:
+    """p without its trailing zeros."""
+    end = len(p)
+    while end and not p[end - 1]:
+        end -= 1
+    return p[:end]
+
+
+def _exponential_terms(bs: list, c):
+    """(d', r) with d'_i = d_i r^i, d_i = i b_i c, for i = 1..len(bs), in ints.
+
+    r is the least common denominator of the d_i, read from the numerators
+    and denominators of the b_i and of c, so no Fraction is formed.
+    """
+    nums, dens = [], []
+    for i, b in enumerate(bs, 1):
+        num, den = i * b.numerator * c.numerator, b.denominator * c.denominator
+        g = math.gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+    r = math.lcm(*dens)
+    d, rp = [], 1
+    for num, den in zip(nums, dens):
+        rp *= r
+        d.append(num * (rp // den))
+    return d, r
+
+
 def _build(e: Ensemble, n_max: int, exact: bool) -> np.ndarray:
     """a_0..a_{n_max}: Python ints/Fractions when exact, long doubles otherwise.
 
     An exponential series gives F = exp(sum_i d_i z^i / i), d_i = i c b_i,
-    filled by m a_m = sum_{i<=m} d_i a_{m-i}. A geometric series with
-    b_k = 1 for every k <= n_max (uniform, weighted(y)) is summed over
-    Durfee squares in O(n_max^{3/2}) operations (_durfee_sum). Other series
-    go factor by factor: b_k scans of 1/(1 - y x^k) for a geometric series
-    with integer b_k <= 64, a stride convolution with f(x^k)^{b_k}
-    otherwise. Exact tables run on integers: the array holds s r^m a_m,
-    where r is the denominator q of y = p/q, or, with s = n_max!, the
-    common denominator D of the d_i. The last step divides the scaling out.
+    so F' = D F with D = sum_i d_i z^{i-1}: m a_m = sum_{i<=m} d_i a_{m-i}.
+    Exact tables run it on A_m = n_max! r^m a_m with the integers
+    d'_i = d_i r^i, r the common denominator of the d_i, and in its short
+    form: with (1 - r z)^t D'(z) = P(z) below degree n_max (_short_form),
+    m A_m = sum_j p_j A_{m-1-j} - sum_{j=1..t} q_j (m-j) A_{m-j},
+    q_j = C(t, j) (-r)^j. That is O(n_max (deg P + t)) big-integer steps,
+    deg P <= beta where k b_k is a polynomial of degree beta in k (gibbs
+    with integer beta, ordered_lists, ewens, integer power laws). Float
+    tables and weights with no short form keep t = 0, the full dot in
+    O(n_max^2). A geometric series with b_k = 1 for every k <= n_max
+    (uniform, weighted(y)) is summed over Durfee squares in
+    O(n_max^{3/2}) operations (_durfee_sum). Other series go factor by
+    factor: b_k scans of 1/(1 - y x^k) for a geometric series with integer
+    b_k <= 64, a stride convolution with f(x^k)^{b_k} otherwise. Exact
+    geometric tables run on r^m a_m, r the denominator q of y = p/q. The
+    last step divides the scaling out.
     """
     series = e.series
     bs = (e.weights.exact_values(n_max) if exact
           else e.weights.values(np.arange(1, n_max + 1)).tolist())
-    factors = [(k, b) for k, b in enumerate(bs, 1) if b != 0]
     a = np.zeros(n_max + 1, dtype=object if exact else np.longdouble)
-    a[0] = s = r = 1
+    a[0] = r = 1
     geometric = isinstance(series, GeometricSeries)
+    exponential = isinstance(series, ExponentialSeries)
     if geometric:
         # y = p/r; floats keep y whole in p, with r = 1
         y = (series.exact_coefficient(1) if exact
              else np.longdouble(series.coefficient(1)))
         p, r = (y.numerator, y.denominator) if exact else (y, 1)
-    if isinstance(series, ExponentialSeries):
-        rate = series.exact_coefficient(1) if exact else float(series.rate)
-        d = [0] * (n_max + 1)
-        for k, b in factors:
-            d[k] = k * b * rate
+    if exponential:
         if exact:
-            r, s = math.lcm(*(di.denominator for di in d)), math.factorial(n_max)
-            d = [int(di * r ** i) for i, di in enumerate(d)]
-        a[0] = s
-        # rev[t] = d_{n_max - t}, so each step is one contiguous dot
-        rev = np.array(d[:0:-1], dtype=a.dtype)
+            d, r = _exponential_terms(bs, series.exact_coefficient(1))
+            p, t = _short_form(d, r)
+            a[0] = math.factorial(n_max)
+        else:
+            rate = float(series.rate)
+            p, t = [k * b * rate for k, b in enumerate(bs, 1)], 0
+        q = [math.comb(t, j) * (-r) ** j for j in range(t + 1)]
+        top = len(p)
+        # rev[i] = p_{top-1-i}, so the P part of each step is one
+        # contiguous dot
+        rev = np.array(p[::-1], dtype=a.dtype)
         for m in range(1, n_max + 1):
-            t = np.dot(a[:m], rev[n_max - m:])
-            a[m] = t // m if exact else t / m
+            lo = m - top if m > top else 0
+            acc = np.dot(a[lo:m], rev[top - m + lo:])
+            for j in range(1, min(t, m - 1) + 1):
+                acc -= q[j] * (m - j) * a[m - j]
+            a[m] = acc // m if exact else acc / m
     elif geometric and all(b == 1 for b in bs):
         _durfee_sum(a, p, r)
     else:
-        for k, b in factors:
+        for k, b in enumerate(bs, 1):
+            if not b:
+                continue
             reps = b.numerator if exact else round(b)
             whole = b.denominator == 1 if exact else abs(b - reps) < 1e-12
             if geometric and whole and 1 <= b <= 64:
@@ -331,10 +398,19 @@ def _build(e: Ensemble, n_max: int, exact: bool) -> np.ndarray:
             raise TableError(
                 "float coefficients overflowed extended precision; "
                 "reduce n_max or use a rational ensemble for exact mode")
-    elif s != 1 or r != 1:
+    elif exponential or r != 1:
+        if exponential:
+            # m! r^m a_m is an integer, the cycle-index sum over S_m of the
+            # products of d'_i over the cycles, so n_max!/m! divides out
+            # exactly before the one gcd per entry
+            tail = 1
+            for m in range(n_max, -1, -1):
+                a[m] //= tail
+                tail *= m
+        s = 1
         for m in range(n_max + 1):
             a[m] = _maybe_int(Fraction(a[m], s))
-            s *= r
+            s *= r * (m + 1) if exponential else r
     return a
 
 
@@ -399,7 +475,9 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
     extended floats otherwise or when a coefficient read turns out inexact;
     "exact"/"float" force the arithmetic. Both run the same builder, whose
     cost counts operations on table entries: the log-derivative recurrence
-    for an exponential series, O(n_max^2); the Durfee-square sum,
+    for an exponential series, O(n_max (deg P + t)) in its short form
+    (exact tables whose (1 - r z)^t D(z) = P(z) is short, see _build) and
+    O(n_max^2) as the full dot otherwise; the Durfee-square sum,
     O(n_max^{3/2}), for a geometric series with b_k = 1 at every
     k <= n_max (uniform, weighted(y)); otherwise b_k scans of O(n_max) each
     for geometric factors with integer b_k <= 64, and stride convolutions
@@ -427,7 +505,10 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
         exact, values = False, _build(e, n_max, False)
     if values[0] != 1:
         raise TableError("a_0 != 1: factor normalization broken")
-    if exact and e.weights.b_1 > 0 and any(v <= 0 for v in values[1:].tolist()):
+    # an exact entry has the sign of its numerator, read without a
+    # Fraction compare
+    if exact and e.weights.b_1 > 0 and any(
+            v.numerator <= 0 for v in values[1:].tolist()):
         raise TableError("nonpositive coefficient in an ensemble with b_1 > 0")
 
     prefix = None

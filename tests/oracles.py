@@ -104,6 +104,32 @@ def exp_factor(k: int, c: Fraction, n_max: int) -> list:
     return out
 
 
+def exponential_dot_table(c, b, n_max: int) -> list:
+    """a_0..a_n_max of exp(c sum_k b(k) z^k), exact in Fractions.
+
+    The log-derivative recurrence m a_m = sum_{i<=m} d_i a_{m-i},
+    d_i = i b(i) c, one full dot per m: the table builder's former route
+    for every exponential series. Whole entries come back as ints.
+    """
+    d = [0] + [i * Fraction(b(i)) * c for i in range(1, n_max + 1)]
+    a = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        a.append(sum(d[i] * a[m - i] for i in range(1, m + 1)) / m)
+    return [v.numerator if v.denominator == 1 else v for v in a]
+
+
+def exponential_dot_longdouble(c: float, b, n_max: int) -> np.ndarray:
+    """The same recurrence in long doubles, as the float tables run it:
+    d_i = i b(i) c in float64, one contiguous dot per m."""
+    d = [0.0] + [i * b(i) * c for i in range(1, n_max + 1)]
+    a = np.zeros(n_max + 1, dtype=np.longdouble)
+    a[0] = 1
+    rev = np.array(d[:0:-1], dtype=np.longdouble)
+    for m in range(1, n_max + 1):
+        a[m] = np.dot(a[:m], rev[n_max - m:]) / m
+    return a
+
+
 def product_coefficients(factors, n_max: int) -> list:
     acc = [1] + [0] * n_max
     for f in factors:

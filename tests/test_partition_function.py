@@ -39,9 +39,10 @@ from multpart.partition_function import (_factor_weights_float,
                                         _log_derivative_weights, _scan,
                                         _tilted_masses)
 
-from oracles import (exp_factor, geometric_factor, log_partition_loop,
-                     partition_count, partition_product, product_coefficients,
-                     scan_rows, weighted_partition_sum)
+from oracles import (exp_factor, exponential_dot_longdouble,
+                     exponential_dot_table, geometric_factor,
+                     log_partition_loop, partition_count, partition_product,
+                     product_coefficients, scan_rows, weighted_partition_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +328,117 @@ def test_float_route_matches_exact():
     for n in range(201):
         assert float(flt.values[n]) == pytest.approx(int(exact.values[n]),
                                                      rel=1e-10)
+
+
+# exponential ensembles as (ensemble, rate c, weight rule b, n): the oracle
+# runs exp(c sum_k b(k) z^k) by its full dot. gibbs(theta, beta) is
+# exp(theta sum_k k^(beta-1) z^k) however it is normalized.
+def _gibbs_case(theta, beta, n):
+    return (lambda: make("gibbs", theta=theta, beta=beta), Fraction(theta),
+            lambda k: k ** (beta - 1), n)
+
+
+EXPONENTIAL_CASES = {
+    **{f"gibbs({theta},{beta})": _gibbs_case(theta, beta, 120)
+       for theta in (1, 3, Fraction(1, 2)) for beta in (1, 2, 3)},
+    "gibbs(1,1) n=300": _gibbs_case(1, 1, 300),
+    **{f"ewens({theta})": (lambda theta=theta: make("ewens", theta=theta),
+                           Fraction(1), lambda k, theta=theta: theta / Fraction(k),
+                           200)
+       for theta in (Fraction(1, 2), 1, 2)},
+    "ordered_lists": (lambda: make("ordered_lists"), Fraction(1),
+                      lambda k: 1, 120),
+    "power_law(1,2)": (
+        lambda: Ensemble(ExponentialSeries(1), power_law_weights(1, 2)),
+        Fraction(1), lambda k: 2 * k - 1, 120),
+    # no short form: k b_k on odd k only, so the full dot runs (t = 0)
+    "odd parts, rate 3/2": (
+        lambda: Ensemble(ExponentialSeries(Fraction(3, 2)),
+                         indicator_weights("odds")),
+        Fraction(3, 2), lambda k: k % 2, 120),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENTIAL_CASES))
+def test_exponential_tables_match_dot_oracle(name):
+    make_e, c, b, n = EXPONENTIAL_CASES[name]
+    got = list(coefficients(make_e(), n, mode="exact").values)
+    want = exponential_dot_table(c, b, n)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 2), 1, 2], ids=str)
+def test_ewens_table_is_rising_binomial(theta):
+    # F = (1 - z)^-theta, so a_m = C(m + theta - 1, m)
+    want, term = [1], Fraction(1)
+    for m in range(1, 501):
+        term = term * (m + theta - 1) / m
+        want.append(term.numerator if term.denominator == 1 else term)
+    got = list(coefficients(make("ewens", theta=theta), 500).values)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       k0=st.integers(1, 30), jump=st.integers(1, 5),
+       rest=st.lists(st.integers(0, 4), max_size=6),
+       c=st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2),
+                          Fraction(2, 3)]),
+       past=st.integers(-3, 4))
+def test_exponential_short_form_edge(poly, k0, jump, rest, c, past):
+    # b_k is a polynomial in k up to k0 and breaks at k0 + 1 (then a few
+    # free values, zero past the list): the short form reads d_i only for
+    # i <= n_max, so it holds for n_max <= k0 and sees the break beyond
+    bk = [sum(p * k ** j for j, p in enumerate(poly)) for k in range(1, k0 + 2)]
+    bk[-1] += jump
+    bs = bk + rest
+    n = min(max(k0 + past, 0), 40)
+    e = Ensemble(ExponentialSeries(c), explicit_weights(bs))
+    got = list(coefficients(e, n, mode="exact").values)
+    want = [Fraction(v) for v in product_coefficients(
+        [exp_factor(k, c * (bs[k - 1] if k <= len(bs) else 0), n)
+         for k in range(1, n + 1)], n)]
+    want = [v.numerator if v.denominator == 1 else v for v in want]
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    if n <= k0 and any(poly) and n > len(poly) + 2:
+        # k b_k of degree < len(poly) + 1 is killed by len(poly) + 1 factors
+        terms = partition_function._exponential_terms(
+            e.weights.exact_values(n), c)
+        assert 0 < partition_function._short_form(*terms)[1] <= len(poly) + 1
+
+
+@pytest.mark.parametrize("e,c,b", [
+    (make("gibbs", theta=1, beta=1), 1.0, lambda k: 1.0),
+    (make("ewens", theta=2), 1.0, lambda k: 2 / k)],
+    ids=["gibbs(1,1)", "ewens(2)"])
+def test_exponential_float_tables_keep_the_full_dot(e, c, b):
+    # float tables run the full dot (t = 0) bit for bit: the short
+    # recurrence drifts on tilted float masses
+    got = coefficients(e, 300, mode="float").values
+    assert got.dtype == np.longdouble
+    assert np.array_equal(got, exponential_dot_longdouble(c, b, 300))
+
+
+@pytest.mark.parametrize("e", [make("weighted", y=2), make("uniform"),
+                               make("ewens", theta=Fraction(1, 2)),
+                               make("gibbs", theta=3, beta=2)],
+                         ids=["weighted(2)", "uniform", "ewens(1/2)",
+                              "gibbs(3,2)"])
+def test_exact_builds_compare_no_fractions(monkeypatch, e):
+    # whole b_k are read as ints and the exponential route forms its terms
+    # from numerators and denominators, so a build makes no Fraction compare
+    calls = []
+    eq = Fraction.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return eq(self, other)
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    partition_function._build(e, 300, True)
+    assert calls == []
 
 
 def test_exact_mode_requires_rational():
