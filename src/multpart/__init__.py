@@ -12,8 +12,8 @@ from .asymptotics import (ShapeCurve, TiltSolution, limit_shape, omega,
                           phi_at_zero_divergent, scaling_alpha, shape_curve,
                           sigma_sq, solve_tilt, symmetric_rescale)
 from .catalog import CatalogEntry, dilogarithm, entry, make, names, reference_shape
-from .config import (EnsembleConfig, Numerics, ensemble_from_flag,
-                     load_config, parse_config)
+from .config import (EnsembleConfig, ensemble_from_flag, load_config,
+                     parse_config)
 from .diagnostics import (ConcentrationPrediction, ConcentrationReport,
                           DegenerateShapeReport, VarianceRatioResult,
                           concentration_experiment, degenerate_shape_probe,
@@ -51,7 +51,7 @@ __all__ = [
     "ConfigError", "ConvergenceError", "CriterionResult", "CustomSeries",
     "DegenerateShapeReport", "DomainError", "EmptySupportError", "Ensemble",
     "EnsembleConfig", "ExponentialSeries", "FitUnstable", "GeometricSeries",
-    "MultpartError", "NegativeCoefficientError", "Numerics", "ParamError",
+    "MultpartError", "NegativeCoefficientError", "ParamError",
     "PartSet", "Partition", "PowerSeriesFunction", "QuadratureError",
     "Regime", "RegimeError", "RngStream", "SeriesFunction", "ShapeCurve",
     "Singularity", "TableError", "TailError", "TiltSolution",

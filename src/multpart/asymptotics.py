@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -476,8 +477,9 @@ def solve_tilt(e: Ensemble, n: int) -> TiltSolution:
     only. The solution counts its walks over the blocks: bracket probes,
     Newton evaluations and the float-floor re-evaluations.
     """
-    if n < 1:
-        raise ParamError(f"tilt target must be a positive integer, got {n}")
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ParamError(f"tilt target must be a positive integer, got {n!r}")
+    n = int(n)  # a numpy integer shares the memo entry of the equal int
     return e.cached(("tilt", n), lambda: _newton_tilt(e, n))
 
 

@@ -143,7 +143,7 @@ def cmd_sample(ens, mode, n, x, count, seed, out):
             raise click.UsageError(f"mode {mode!r} requires --n")
         parts = sample_small_many(e, n, count, seed,
                                   mode=mode.removeprefix("small-"),
-                                  budget=cfg.numerics.budget)
+                                  budget=cfg.budget)
         records = [p.to_record(RngStream(seed, i))
                    for i, p in enumerate(parts)]
     with click.open_file(out, "w") as fh:

@@ -14,9 +14,10 @@ or a fully explicit description:
     normalize: false
 
 Both may carry a `numerics:` block; its one key, `budget`, caps the attempts
-of each rejection or pdc draw (the tilt x_n has no settings). Parse failures
-raise ConfigError with the offending field path in the message; YAML syntax
-errors keep the parser's line/column information.
+of each rejection or pdc draw (the tilt x_n has no settings) and becomes
+EnsembleConfig.budget. Parse failures raise ConfigError with the offending
+field path in the message; YAML syntax errors keep the parser's line/column
+information.
 """
 
 from __future__ import annotations
@@ -45,9 +46,13 @@ _WEIGHT_RULES = {"constant": (), "indicator": ("parts",),
 
 
 @dataclass(frozen=True)
-class Numerics:
-    """Sampler overrides a config may carry; None keeps the library default."""
+class EnsembleConfig:
+    """A parsed config: the ensemble it describes, where it came from, and
+    the attempt budget of each rejection or pdc draw (None keeps the
+    library default)."""
 
+    ensemble: Ensemble
+    source: str
     budget: int | None = None
 
     def __post_init__(self):
@@ -55,15 +60,6 @@ class Numerics:
         if b is not None and (type(b) is not int or b < 1):  # True is no count
             raise ConfigError(
                 f"numerics.budget: expected a positive integer, got {b!r}")
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """A parsed config: the ensemble it describes plus numeric overrides."""
-
-    ensemble: Ensemble
-    numerics: Numerics
-    source: str
 
 
 def _fail(path: str, msg: str) -> ConfigError:
@@ -158,18 +154,19 @@ def _build_weights(sec: dict, declared: dict, path: str) -> WeightSequence:
     return explicit_weights(values, **decl)
 
 
-def _build_numerics(sec: Any, path: str) -> Numerics:
+def _budget(sec: Any, path: str) -> Any:
+    """The budget a numerics section sets, unchecked; None when it sets none."""
     if sec is None:
-        return Numerics()
+        return None
     sec = _require_mapping(sec, path)
     _reject_extras(sec, ("budget",), path)
-    return Numerics(budget=sec.get("budget"))
+    return sec.get("budget")
 
 
 def parse_config(doc: Any, source: str = "config") -> EnsembleConfig:
     """Turn a parsed document into an EnsembleConfig or raise ConfigError."""
     doc = _require_mapping(doc, source)
-    numerics = _build_numerics(doc.get("numerics"), "numerics")
+    budget = _budget(doc.get("numerics"), "numerics")
     if "catalog" in doc:
         _reject_extras(doc, ("catalog", "params", "numerics"), source)
         name = doc["catalog"]
@@ -183,7 +180,7 @@ def parse_config(doc: Any, source: str = "config") -> EnsembleConfig:
             e = catalog.make(name, **params)
         except MultpartError as err:
             raise _fail("catalog", str(err)) from err
-        return EnsembleConfig(e, numerics, source)
+        return EnsembleConfig(e, source, budget)
     if "f" not in doc or "weights" not in doc:
         raise _fail(source, "document needs either a `catalog` key or both "
                     "`f` and `weights` sections")
@@ -205,7 +202,7 @@ def parse_config(doc: Any, source: str = "config") -> EnsembleConfig:
         raise
     except MultpartError as err:
         raise ConfigError(f"{source}: {err}") from err
-    return EnsembleConfig(e, numerics, source)
+    return EnsembleConfig(e, source, budget)
 
 
 def load_config(path: str) -> EnsembleConfig:
@@ -256,4 +253,4 @@ def ensemble_from_flag(value: str) -> EnsembleConfig:
         e = catalog.make(name, **params)
     except MultpartError as err:
         raise ConfigError(f"--ensemble: {err}") from err
-    return EnsembleConfig(e, Numerics(), source=value)
+    return EnsembleConfig(e, source=value)

@@ -293,8 +293,9 @@ def concentration_experiment(e: Ensemble, n: int, replicas: int,
 
     parts = sample_small_many(e, n, replicas, seed, mode=mode,
                               budget=budget)
-    for p in parts:
-        assert young_integral(p) == n
+    for i, p in enumerate(parts):
+        if (weight := young_integral(p)) != n:
+            raise AssertionError(f"replica {i} has weight {weight}, not {n}")
     dev = diagram_deviations(parts, pred.alpha, n, grid, pred.shape_values)
 
     return ConcentrationReport(

@@ -51,6 +51,13 @@ _MEAN = (1, False)  # (power of k, variance correction)
 _VAR = (2, True)
 _TAIL = ((0, False), (0, True), (1, True))  # E R_k, Var R_k, k Var R_k
 _MEMO_CAP = 64
+# a predicate part set's density is its share of the sizes up to this
+_DENSITY_SIZES = 1 << 14
+# condition 10 checks these strides on the sizes up to _LATTICE_SIZES
+_LATTICE_STRIDES = range(2, 11)
+_LATTICE_SIZES = 10_000
+# condition 11 fits B_k on a dyadic grid up to this size
+_GROWTH_SIZES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +78,6 @@ class PartSet:
         self.mask = mask
         self.density = density
         self.end = end
-        self.finite = end is not None
 
     @classmethod
     def from_spec(cls, spec) -> "PartSet":
@@ -119,10 +125,10 @@ class PartSet:
             return np.fromiter((bool(fn(int(k))) for k in ks), bool, len(ks))
         return cls("predicate", mask, None)
 
-    def estimated_density(self, k_max: int = 1 << 14) -> float:
+    def estimated_density(self) -> float:
         if self.density is not None:
             return self.density
-        ks = np.arange(1, k_max + 1)
+        ks = np.arange(1, _DENSITY_SIZES + 1)
         return float(self.mask(ks).mean())
 
     def __contains__(self, k: int) -> bool:
@@ -157,7 +163,6 @@ class WeightSequence:
     """
 
     rule = ""
-    finite_support = False
     support_end: int | None = None  # largest k with b_k possibly nonzero
     bounded_below = False  # True when inf_k b_k > 0 can be read off the rule
     implied_beta: float | None = None  # growth exponent of B_k by the rule
@@ -280,9 +285,8 @@ class _Indicator(WeightSequence):
     def __init__(self, part_set, **declared):
         super().__init__(**declared)
         self.part_set = PartSet.from_spec(part_set)
-        self.finite_support = self.part_set.finite
         self.support_end = self.part_set.end
-        self.implied_beta = None if self.finite_support else 1.0
+        self.implied_beta = None if self.support_end is not None else 1.0
         self._args = f"({self.part_set!r})"
 
     def _values(self, ks):
@@ -294,7 +298,7 @@ class _Indicator(WeightSequence):
     _block = _Constant._block  # b_k <= 1, as for the constant rule
 
     def _theta(self, s):
-        if self.finite_support:
+        if self.support_end is not None:
             return None
         return s * self.part_set.estimated_density()
 
@@ -385,7 +389,6 @@ class _Monomial(WeightSequence):
 
 class _Explicit(WeightSequence):
     rule = "explicit"
-    finite_support = True
 
     def __init__(self, values: Sequence[Number], **declared):
         values = list(values)
@@ -680,7 +683,7 @@ def _classify(e: Ensemble) -> tuple[Regime, str]:
     hypotheses all fail and the tag is OUT_OF_SCOPE; then rho_1 and the
     singularity of f decide."""
     w = e.weights
-    if w.finite_support:
+    if w.support_end is not None:
         return Regime.OUT_OF_SCOPE, "finite support: B_k is bounded"
     if w.b_1 <= 0:  # the b_1 = 1 renormalization does not exist
         return Regime.OUT_OF_SCOPE, "b_1 = 0: part size 1 carries no weight"
@@ -735,15 +738,14 @@ def resonant_mask(s: float, ks: np.ndarray) -> np.ndarray:
     return np.abs(ks - s * j) < 0.5
 
 
-def check_condition_10(w: WeightSequence, s_values: Iterable[float] = range(2, 11),
-                       k_max: int = 10_000) -> Condition10Report:
-    ks = np.arange(1, k_max + 1, dtype=np.int64)
+def check_condition_10(w: WeightSequence) -> Condition10Report:
+    ks = np.arange(1, _LATTICE_SIZES + 1, dtype=np.int64)
     b = w.values(ks)
     B = np.cumsum(b)
     ok = B > 0
     per_s: dict = {}
     worst, worst_s = 0.0, None
-    for s in s_values:
+    for s in _LATTICE_STRIDES:
         mask = resonant_mask(float(s), ks)
         resonant = np.cumsum(np.where(mask, b, 0.0))
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -752,7 +754,7 @@ def check_condition_10(w: WeightSequence, s_values: Iterable[float] = range(2, 1
         per_s[float(s)] = {"worst_ratio": float(ratio[i]), "at_k": int(ks[i])}
         if ratio[i] > worst:
             worst, worst_s = float(ratio[i]), float(s)
-    return Condition10Report(k_max=k_max, per_s=per_s,
+    return Condition10Report(k_max=_LATTICE_SIZES, per_s=per_s,
                              worst_ratio=worst, worst_s=worst_s)
 
 
@@ -767,25 +769,16 @@ class Condition11Report:
     out_of_scope: bool
     points: int
 
-    def compatible(self, zeta: float, slack: float = 0.1) -> bool:
-        if self.exact_compliance:
-            return True
-        if self.remainder_exponent is None:
-            return False
-        return self.remainder_exponent <= self.beta_fit - zeta + slack
 
+def check_condition_11(w: WeightSequence) -> Condition11Report:
+    """Fit B_k growth and its remainder on a dyadic grid up to 2^16.
 
-def check_condition_11(w: WeightSequence, k_max: int = 1 << 16,
-                       theta: float | None = None,
-                       beta: float | None = None) -> Condition11Report:
-    """Fit B_k growth and its remainder on a dyadic grid.
-
-    theta/beta default to the declared/rule-implied values; when absent they
+    theta and beta are the declared or rule-implied values; when absent they
     are fitted from the top decades. An identically-zero remainder reports
     exact compliance. Raises FitUnstable when there is not enough usable
     signal to fit anything.
     """
-    ks = np.unique(np.geomspace(8, k_max, 40).astype(np.int64))
+    ks = np.unique(np.geomspace(8, _GROWTH_SIZES, 40).astype(np.int64))
     if w.support_end is not None:
         ks = ks[ks <= w.support_end]
     if len(ks) < 4:
@@ -797,9 +790,9 @@ def check_condition_11(w: WeightSequence, k_max: int = 1 << 16,
     lk, lB = np.log(ks[good]), np.log(B[good])
     top = lk >= lk.max() - math.log(16)
     slope, inter = np.polyfit(lk[top], lB[top], 1)
-    beta_fit = beta if beta is not None else (w.beta or float(slope))
-    theta_fit = theta if theta is not None else (w.theta or float(math.exp(inter)))
-    out = beta_fit is None or beta_fit <= 0.05 or float(slope) <= 0.05
+    beta_fit = w.beta or float(slope)
+    theta_fit = w.theta or float(math.exp(inter))
+    out = beta_fit <= 0.05 or float(slope) <= 0.05
 
     r = B - theta_fit * ks.astype(float) ** beta_fit
     nz = np.abs(r) > 1e-9 * np.maximum(B, 1.0)

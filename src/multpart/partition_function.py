@@ -54,6 +54,9 @@ __all__ = [
 
 PREFIX_CAP = 5000
 PRODUCT_TAIL_TOL = 1e-12
+# product_tail_cutoff refuses a cut past this many part sizes: its callers
+# allocate arrays of that length
+MAX_PRODUCT_SIZES = 1 << 24
 # the mass recurrence rescales its running values past this size
 _RESCALE = 1e250
 _EPS = float(np.finfo(np.float64).eps)
@@ -125,7 +128,8 @@ def product_tail_cutoff(e: Ensemble, x: float, tol: float = PRODUCT_TAIL_TOL) ->
 
     Uses f(u) - 1 <= u * (f(x^K) - 1) / x^K for u <= x^K (the coefficient
     series has nonnegative terms), so the neglected factors change log F
-    by less than tol.
+    by less than tol. Raises ConvergenceError when K would pass
+    MAX_PRODUCT_SIZES.
     """
     e.check_tilt(x)
     if x == 0.0:
@@ -142,9 +146,10 @@ def product_tail_cutoff(e: Ensemble, x: float, tol: float = PRODUCT_TAIL_TOL) ->
         if (f_u - 1.0) / u * _weighted_geometric_tail(e, x, k) < tol:
             return k
         k *= 2
-        if k > 1 << 40:
+        if k > MAX_PRODUCT_SIZES:
             raise ConvergenceError(
-                f"product truncation bound would not close at x={x}")
+                f"product truncation at x={x} needs more than "
+                f"{MAX_PRODUCT_SIZES} part sizes")
 
 
 def log_partition_value(e: Ensemble, x: float) -> float:
@@ -172,8 +177,8 @@ class CoefficientTable:
 
     prefix[k][m] = T_k(m) * x0**m where T_k collects the factors for part
     sizes <= k; rows for inert sizes (b_k = 0) share the previous row's
-    array. The tilt x0 keeps every entry in floating range even when the
-    raw T_k(m) grow geometrically.
+    array. The tilt x0 solves mean = n_max and keeps every entry in
+    floating range even when the raw T_k(m) grow geometrically.
     """
 
     n_max: int
@@ -434,15 +439,6 @@ def _factor_weights_float(e: Ensemble, k: int, b: float, n_max: int,
     return w
 
 
-def _default_tilt(e: Ensemble, n_max: int) -> float:
-    try:
-        return solve_tilt(e, max(n_max, 1)).x_n
-    except ConvergenceError as exc:
-        raise TableError(
-            f"no tilt found for prefix rows at n={n_max}; pass x0 "
-            f"explicitly ({exc})") from exc
-
-
 def _build_prefix(e: Ensemble, n_max: int, x0: float):
     rows: list[np.ndarray] = [np.zeros(n_max + 1)]
     rows[0][0] = 1.0
@@ -462,13 +458,12 @@ def _build_prefix(e: Ensemble, n_max: int, x0: float):
         rows.append(nxt)
         cur = nxt
     if not np.isfinite(cur).all() or cur[n_max] == 0.0 and e.weights.b_1 > 0:
-        raise TableError(
-            f"prefix rows degenerate at tilt x0={x0}; pass a better x0")
+        raise TableError(f"prefix rows degenerate at tilt x0={x0}")
     return rows
 
 
 def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
-                 keep_prefix: bool = False, x0: float | None = None) -> CoefficientTable:
+                 keep_prefix: bool = False) -> CoefficientTable:
     """Build a_0..a_{n_max}.
 
     mode: "auto" picks exact arithmetic when the ensemble is rational,
@@ -485,9 +480,8 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
     type, the integer scalings of the exact tables and the last step
     (unscale, or the overflow check) differ.
 
-    keep_prefix also retains the tilted per-prefix rows (memory grows
-    quadratically: capped at n_max = 5000). x0 overrides the tilt, which
-    otherwise solves mean = n_max.
+    keep_prefix also retains the rows tilted by the x solving mean = n_max
+    (memory grows quadratically: capped at n_max = 5000).
     """
     if n_max < 0:
         raise ParamError("n_max must be >= 0")
@@ -517,9 +511,7 @@ def coefficients(e: Ensemble, n_max: int, *, mode: str = "auto",
         if n_max > PREFIX_CAP:
             raise ParamError(
                 f"prefix rows capped at n_max={PREFIX_CAP} (quadratic memory)")
-        tilt = float(x0) if x0 is not None else _default_tilt(e, n_max)
-        if not (0.0 < tilt < e.rho):
-            raise ParamError(f"tilt x0={tilt} outside (0, {e.rho})")
+        tilt = solve_tilt(e, max(n_max, 1)).x_n
         prefix = _build_prefix(e, n_max, tilt)
 
     return CoefficientTable(n_max=n_max, values=values, exact=exact,

@@ -522,12 +522,10 @@ def _count_law(e: Ensemble, bs: np.ndarray, us: np.ndarray) -> CountLaw:
 class _GrandTable:
     """Per-(ensemble, x) sampling plan: active sizes and their count laws."""
 
-    __slots__ = ("x", "k_star", "ks", "law")
+    __slots__ = ("ks", "law")
 
     def __init__(self, e: Ensemble, x: float):
-        self.x = x
-        self.k_star = product_tail_cutoff(e, x, GRAND_TAIL_TOL)
-        ks = np.arange(1, self.k_star + 1)
+        ks = np.arange(1, product_tail_cutoff(e, x, GRAND_TAIL_TOL) + 1)
         bs = e.weights.values(ks)
         active = bs > 0.0
         self.ks = ks[active]

@@ -2,16 +2,17 @@
 
 Everything here is deliberately naive: enumeration, term-by-term series
 arithmetic, and O(n^2) convolutions, written without touching the package
-internals so a bug cannot hide in shared code. Five exceptions replay a
-sampler's former method on the package's own data, so that the method
-that replaced it can be checked against it: dense_rejection_draw and
+internals so a bug cannot hide in shared code. dense_rejection_draw and
 dense_pdc_draw run the rejection and divide-and-conquer attempts with
-every count of the sampler's count laws drawn by numpy's own samplers,
-dense_geometric_row inverts a uniform for every size up to the grand
-cutoff k* with laws built from the series and weights alone,
-prefix_walk_draw walks the tilted prefix rows of a coefficient table, and
+count laws built from the ensemble's series and weights and drawn by
+numpy's own samplers, and prefix_walk_draw walks exact prefix rows built
+from geometric_factor and exp_factor; they take only the tilt from the
+package, and the law given N = n does not depend on it. Three exceptions
+replay a sampler's former method on the package's own data, so that the
+method that replaced it can be checked against it: dense_geometric_row
+inverts a uniform for every size up to the grand cutoff k*, and
 recursive_vector_draw runs every step of the recursive method in numpy
-vectors. A sixth, array_prediction, replays the concentration
+vectors. A fourth, array_prediction, replays the concentration
 prediction's former moment arrays, and scan_rows runs every table scan as
 the numpy row loop it once was.
 """
@@ -323,19 +324,28 @@ def log_partition_loop(log_value, b_of_k, x: float, cutoff: int) -> float:
 
 
 @lru_cache(maxsize=16)
-def _numpy_sampler(law, start: int = 0):
-    """draw(gen, rows): rows independent rows of a count law's columns from
-    start on.
+def _dense_counts(e, n: int):
+    """(ks, draw, pmf_1) for the counts R_k of the sizes k <= n with b_k > 0
+    at the tilt x_n, from e.series, e.weights and u = x_n^k alone.
 
-    Each column is drawn from the law's parameters by numpy's geometric,
-    negative_binomial or poisson, or by inverse CDF from a tabulated law's
-    masses, never through the law's own draw.
+    draw(gen, rows) gives rows independent rows of those counts, each
+    column by numpy's geometric or negative_binomial (geometric series:
+    shape b_k, success 1 - y u), poisson (exponential series: mean b_k c u)
+    or by inverse CDF from the masses w_j u^j, w_j = [z^j] f(z)^{b_k}
+    (any other series, integer b_k). pmf_1(j) is P(R_1 = j) by scipy, or
+    from those masses. A partition of n has no part above n, so an
+    attempt that draws only these sizes is accepted with the same law.
     """
-    if hasattr(law, "lam"):
-        lam = law.lam[start:]
-        return lambda gen, rows: gen.poisson(lam, size=(rows, lam.size))
-    if hasattr(law, "q"):
-        p, b = 1.0 - law.q[start:], law.b[start:]
+    from multpart import ExponentialSeries, GeometricSeries, solve_tilt
+    from scipy import stats
+
+    x = solve_tilt(e, n).x_n
+    ks = np.arange(1, n + 1)
+    b = e.weights.values(ks)
+    ks, b = ks[b > 0], b[b > 0]
+    u = x ** ks.astype(float)
+    if isinstance(e.series, GeometricSeries):
+        p = 1.0 - e.series.coefficient(1) * u
         unit = b == 1.0
 
         def draw(gen, rows):
@@ -345,32 +355,47 @@ def _numpy_sampler(law, start: int = 0):
             out[:, ~unit] = gen.negative_binomial(
                 b[~unit], p[~unit], size=(rows, int((~unit).sum())))
             return out
-        return draw
-    cums = [np.cumsum(m) for m in law.masses[start:]]
+        return ks, draw, lambda j: stats.nbinom.pmf(j, b[0], p[0])
+    if isinstance(e.series, ExponentialSeries):
+        lam = b * e.series.coefficient(1) * u
+        return (ks, lambda gen, rows: gen.poisson(lam, size=(rows, lam.size)),
+                lambda j: stats.poisson.pmf(j, lam[0]))
+    top = 64  # counts past this carry no mass for a polynomial f
+    g = [e.series.coefficient(j) for j in range(top + 1)]
+    masses = []
+    for bk, uk in zip(b, u):
+        if bk != round(bk):
+            raise ValueError("tabulated counts need integer weights")
+        w = [1.0] + [0.0] * top
+        for _ in range(round(bk)):
+            w = poly_mul(w, g, top)
+        m = np.array(w) * uk ** np.arange(top + 1)
+        masses.append(m / m.sum())
+    cums = [np.cumsum(m) for m in masses]
 
     def draw(gen, rows):
-        u = gen.random((rows, len(cums)))
-        return np.array([np.searchsorted(cum, u[:, i] * cum[-1], side="right")
+        v = gen.random((rows, len(cums)))
+        return np.array([np.searchsorted(cum, v[:, i] * cum[-1], side="right")
                          for i, cum in enumerate(cums)],
                         dtype=np.int64).reshape(len(cums), rows).T
-    return draw
+    first = masses[0]
+    return ks, draw, lambda j: np.where(
+        (j >= 0) & (j <= top), first[np.clip(j, 0, top)], 0.0)
 
 
-def dense_rejection_draw(table, n: int, gen, budget: int = 10 ** 6,
+def dense_rejection_draw(e, n: int, gen, budget: int = 10 ** 6,
                          rows: int = 64) -> dict:
-    """One rejection draw that draws all k* counts of every attempt.
+    """One rejection draw that draws every count of the sizes up to n.
 
-    table is the sampler's grand table at the tilt x_n: its part sizes ks
-    and its count laws. The first attempt of a batch of rows with total
-    size n wins. Returns {k: R_k} over the nonzero counts.
+    The counts come from _dense_counts. The first attempt of a batch of
+    rows with total size n wins. Returns {k: R_k} over the nonzero counts.
     """
-    draw = _numpy_sampler(table.law)
+    ks, draw, _ = _dense_counts(e, n)
     for _ in range(0, budget, rows):
         counts = draw(gen, rows)
-        hits = np.nonzero(counts @ table.ks == n)[0]
+        hits = np.nonzero(counts @ ks == n)[0]
         if hits.size:
-            return {int(k): int(r) for k, r in zip(table.ks, counts[hits[0]])
-                    if r}
+            return {int(k): int(r) for k, r in zip(ks, counts[hits[0]]) if r}
     raise RuntimeError(f"no draw of size {n} in {budget} attempts")
 
 
@@ -397,24 +422,25 @@ def dense_geometric_row(e, x: float, gen) -> dict:
     return {int(k): int(c) for k, c in zip(ks, r) if c}
 
 
-def dense_pdc_draw(table, n: int, gen, budget: int = 10 ** 6,
+def dense_pdc_draw(e, n: int, gen, budget: int = 10 ** 6,
                    rows: int = 64) -> dict:
     """One divide-and-conquer draw that draws every count of an attempt.
 
-    table is the sampler's grand table at the tilt x_n: its part sizes
-    ks, ks[0] = 1, and its count laws. Each attempt draws R_k for all
-    k >= 2 in one dense row, sets R_1 = n - W and is kept with
-    probability P(R_1 = n - W) / max_j P(R_1 = j); the first kept attempt
-    of a batch of rows wins. Returns {k: R_k} over the nonzero counts.
+    The counts come from _dense_counts, whose sizes begin at 1. Each
+    attempt draws one dense row, replaces R_1 by n - W, W the weight of
+    the sizes k >= 2, and is kept with probability P(R_1 = n - W) /
+    max_j P(R_1 = j), the maximum over the j <= n that R_1 can take; the
+    first kept attempt of a batch of rows wins. Returns {k: R_k} over the
+    nonzero counts.
     """
-    first = table.law.take(slice(0, 1))
-    draw = _numpy_sampler(table.law, 1)
-    log_top = first.log_max()
-    ks = table.ks
+    ks, draw, pmf_1 = _dense_counts(e, n)
+    if ks[0] != 1:
+        raise ValueError("dense_pdc_draw needs b_1 > 0")
+    top = pmf_1(np.arange(n + 1)).max()
     for _ in range(0, budget, rows):
-        counts = draw(gen, rows)
+        counts = draw(gen, rows)[:, 1:]
         r_1 = n - counts @ ks[1:]
-        keep = np.exp(first.logpmf(r_1[:, None])[:, 0] - log_top)
+        keep = pmf_1(r_1) / top
         hits = np.nonzero(gen.random(rows) < keep)[0]
         if hits.size:
             row = np.concatenate(([r_1[hits[0]]], counts[hits[0]]))
@@ -422,38 +448,40 @@ def dense_pdc_draw(table, n: int, gen, budget: int = 10 ** 6,
     raise RuntimeError(f"no draw of size {n} in {budget} attempts")
 
 
-def prefix_walk_draw(e, table, n: int, gen) -> dict:
-    """One exact draw of weight n by walking a table's tilted prefix rows.
+def prefix_walk_draw(factors, n: int, gen) -> dict:
+    """One exact draw of weight n by walking the prefix rows of a product.
 
-    table comes from coefficients(e, n_max, keep_prefix=True), n <= n_max.
-    Down the part sizes k with b_k != 0, R_k = j has conditional mass
-    proportional to wtilde_k(j) * T_{k-1}(m - k j), wtilde_k being the
-    tilted factor row the prefix rows were built from and m the weight
-    left; the tilt cancels in the ratio. Returns {k: R_k} over the
-    nonzero counts.
+    factors[k - 1] holds the coefficients of f(x^k)^{b_k} up to x^n, as
+    geometric_factor or exp_factor give them; the prefix row T_k is
+    product_coefficients(factors[:k], n), in exact arithmetic. Down the
+    part sizes k, R_k = j has conditional mass proportional to
+    [x^{k j}] factor_k * T_{k-1}(m - k j), m the weight left. Returns
+    {k: R_k} over the nonzero counts.
     """
-    from multpart.partition_function import _factor_weights_float
-
+    rows = _prefix_rows(tuple(map(tuple, factors[:n])), n)
     counts = {}
     m = n
     for k in range(n, 0, -1):
         if m == 0:
             break
-        b = e.weights.value(k)
-        if k > m or b == 0.0:
+        if k > m:
             continue
-        w = _factor_weights_float(e, k, b, table.n_max, table.x0)
-        j_hi = min(m // k, len(w) - 1)
-        masses = w[:j_hi + 1] * table.prefix[k - 1][m - np.arange(j_hi + 1) * k]
-        j = int(np.searchsorted(np.cumsum(masses), gen.random() * masses.sum(),
-                                side="right"))
-        j = min(j, j_hi)
+        f = factors[k - 1]
+        cum = np.cumsum([float(f[k * j] * rows[k - 1][m - k * j])
+                         for j in range(m // k + 1)])
+        j = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
         if j:
             counts[k] = j
             m -= k * j
     if m:
         raise RuntimeError("prefix rows inconsistent: residual not exhausted")
     return counts
+
+
+@lru_cache(maxsize=8)
+def _prefix_rows(factors: tuple, n: int) -> list:
+    """T_0..T_n: T_k = product_coefficients(factors[:k], n)."""
+    return [product_coefficients(factors[:k], n) for k in range(n + 1)]
 
 
 def array_prediction(e, n: int, grid, epsilon: float):

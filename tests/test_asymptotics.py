@@ -15,6 +15,7 @@ from multpart import (
     ParamError,
     QuadratureError,
     RegimeError,
+    RngStream,
     Singularity,
     constant_weights,
     explicit_weights,
@@ -23,6 +24,7 @@ from multpart import (
     omega,
     phi_at_zero_divergent,
     predict_concentration,
+    sample_small_rejection,
     scaling_alpha,
     shape_curve,
     sigma_sq,
@@ -526,6 +528,19 @@ def test_tilt_rejects_bad_n():
         solve_tilt(make("uniform"), 0)
     with pytest.raises(ParamError):
         solve_tilt(make("uniform"), -3)
+
+
+def test_tilt_target_is_an_integer():
+    u = make("uniform")
+    for n in (2.5, True):
+        with pytest.raises(ParamError, match="positive integer"):
+            solve_tilt(u, n)
+    # refused as a bad size, not as an unreachable one after the budget
+    with pytest.raises(ParamError, match="positive integer"):
+        sample_small_rejection(u, 2.5, RngStream(1))
+    sol = solve_tilt(u, 100)
+    assert solve_tilt(u, np.int64(100)) is sol
+    assert type(sol.n) is int
 
 
 def test_scaling_alpha_values():

@@ -232,6 +232,13 @@ def test_sample_grand_tilt_outside_domain_exits_2():
     assert "outside" in res.stderr
 
 
+def test_sample_grand_past_the_size_bound_exits_4():
+    res = run_cli("sample", "--ensemble", "uniform", "--mode", "grand",
+                  "--x", "0.9999999")
+    assert res.exit_code == 4
+    assert "part sizes" in res.stderr
+
+
 def test_sample_small_requires_n():
     res = run_cli("sample", "--ensemble", "uniform")
     assert res.exit_code == 1

@@ -9,22 +9,24 @@ import yaml
 from multpart import (
     ConfigError,
     CustomSeries,
+    EnsembleConfig,
     ExponentialSeries,
     GeometricSeries,
-    Numerics,
     Regime,
     ensemble_from_flag,
     load_config,
+    make,
     parse_config,
 )
 
 
 # ---------------------------------------------------------------------------
-# Numerics
+# the numerics block: one budget, checked by EnsembleConfig
 
 
 def test_numerics_defaults():
-    assert Numerics().budget is None
+    assert EnsembleConfig(make("uniform"), "config").budget is None
+    assert parse_config({"catalog": "uniform"}).budget is None
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -35,20 +37,24 @@ def test_numerics_defaults():
     {"budget": 1e3},
 ])
 def test_numerics_validation(kwargs):
-    with pytest.raises(ConfigError):
-        Numerics(**kwargs)
+    with pytest.raises(ConfigError, match="numerics.budget"):
+        EnsembleConfig(make("uniform"), "config", **kwargs)
+    with pytest.raises(ConfigError, match="numerics.budget"):
+        parse_config({"catalog": "uniform", "numerics": kwargs})
 
 
 def test_numerics_refuses_bool_budget():
     # bool is an int subclass; a budget of True is still no count
     with pytest.raises(ConfigError, match="numerics.budget"):
-        Numerics(budget=True)
+        EnsembleConfig(make("uniform"), "config", budget=True)
+    with pytest.raises(ConfigError, match="numerics.budget"):
+        parse_config({"catalog": "uniform", "numerics": {"budget": True}})
 
 
 def test_yaml_null_budget_is_the_default(tmp_path):
     p = tmp_path / "ens.yaml"
     p.write_text("catalog: uniform\nnumerics:\n  budget: null\n")
-    assert load_config(str(p)).numerics == Numerics()
+    assert load_config(str(p)).budget is None
 
 
 def test_yaml_bool_budget_refused(tmp_path):
@@ -66,15 +72,15 @@ def test_catalog_document():
     cfg = parse_config({"catalog": "weighted", "params": {"y": 0.5}})
     assert cfg.ensemble.label == "weighted(y=0.5)"
     assert cfg.ensemble.regime is Regime.ERGODIC_SUPERCRITICAL
-    assert cfg.numerics == Numerics()
+    assert cfg.budget is None
     assert cfg.source == "config"
 
 
 def test_catalog_document_with_numerics():
     cfg = parse_config({"catalog": "uniform", "numerics": {"budget": 500}})
-    assert cfg.numerics == Numerics(budget=500)
+    assert cfg.budget == 500
     cfg = parse_config({"catalog": "uniform", "numerics": {}})
-    assert cfg.numerics == Numerics()
+    assert cfg.budget is None
 
 
 @pytest.mark.parametrize("doc,needle", [
@@ -270,7 +276,7 @@ def test_load_config_file(tmp_path):
         "  budget: 100\n")
     cfg = load_config(str(p))
     assert cfg.ensemble.label == "gibbs(theta=1, beta=2)"
-    assert cfg.numerics.budget == 100
+    assert cfg.budget == 100
     assert cfg.source == str(p)
 
 

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multpart
 from multpart import (
     CustomSeries,
     Ensemble,
@@ -274,3 +279,21 @@ def test_degenerate_probe_gates():
         degenerate_shape_probe(make("uniform"), n=50, replicas=5)
     with pytest.raises(ParamError):
         degenerate_shape_probe(make("weighted", y=2), n=50, replicas=0)
+
+
+def test_concentration_weight_check_survives_optimize():
+    # python -O strips assert statements; the check of each draw's weight
+    # must still refuse a draw of the wrong weight
+    script = (
+        "from multpart import Partition, diagnostics, make\n"
+        "diagnostics.sample_small_many = lambda e, n, replicas, *a, **k: (\n"
+        "    [Partition.make({1: n - 1})] * replicas)\n"
+        "try:\n"
+        "    diagnostics.concentration_experiment(make('uniform'), 50, 2)\n"
+        "except AssertionError as err:\n"
+        "    print('refused:', err)\n")
+    src = str(Path(multpart.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "refused: replica 0 has weight 49, not 50"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multpart import (
+    ConvergenceError,
     CustomSeries,
     DomainError,
     Ensemble,
@@ -509,7 +510,7 @@ def test_keep_prefix_rows_and_factor_weights():
 def test_factor_weights_missing_row():
     # b_1 = 0: no factor row is built for size one, so row 1 is row 0
     evens = coefficients(make("restricted", parts="evens"), 20,
-                         keep_prefix=True, x0=0.5)
+                         keep_prefix=True)
     assert evens.prefix[1] is evens.prefix[0]
     assert evens.prefix[2] is not evens.prefix[1]
 
@@ -517,11 +518,6 @@ def test_factor_weights_missing_row():
 def test_keep_prefix_cap():
     with pytest.raises(ParamError):
         coefficients(make("uniform"), 5001, keep_prefix=True)
-
-
-def test_keep_prefix_bad_tilt():
-    with pytest.raises(ParamError):
-        coefficients(make("uniform"), 20, keep_prefix=True, x0=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +579,23 @@ def test_product_tail_cutoff_certificate():
     from multpart import explicit_weights, GeometricSeries
     fin = Ensemble(GeometricSeries(1), explicit_weights([1, 1, 1]))
     assert product_tail_cutoff(fin, 0.9) == 3
+
+
+def test_product_tail_cutoff_refuses_sizes_it_cannot_hold():
+    # uniform at x = 1 - 1e-7 needs K = 2^29 sizes; the doubling stops at
+    # the bound before any caller allocates K entries
+    with pytest.raises(ConvergenceError, match="16777216 part sizes") as err:
+        product_tail_cutoff(make("uniform"), 1 - 1e-7)
+    assert "x=0.9999999" in str(err.value)
+    assert partition_function.MAX_PRODUCT_SIZES == 1 << 24
+
+
+def test_grand_and_log_f_refuse_sizes_they_cannot_hold():
+    u = make("uniform")
+    with pytest.raises(ConvergenceError, match="part sizes"):
+        sample_grand(u, 1 - 1e-7, RngStream(1))
+    with pytest.raises(ConvergenceError, match="part sizes"):
+        log_partition_value(u, 1 - 1e-6)
 
 
 def test_finite_indicator_stops_at_its_largest_member():

@@ -5,6 +5,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from multpart import (
     ParamError,
     Partition,
     RngStream,
-    coefficients,
     constant_weights,
     default_budget,
     explicit_weights,
@@ -38,7 +38,8 @@ from multpart import (
 from multpart import partition_function, sampler
 from multpart.sampler import _SCALAR_WINDOW, _RecursivePlan
 from oracles import (dense_geometric_row, dense_pdc_draw, dense_rejection_draw,
-                     partitions_into, prefix_walk_draw, recursive_vector_draw)
+                     exp_factor, geometric_factor, partitions_into,
+                     prefix_walk_draw, recursive_vector_draw)
 
 
 # ---------------------------------------------------------------------------
@@ -555,19 +556,16 @@ def test_dense_draw_marginals(name):
 @pytest.mark.parametrize("name,n", [("uniform", 8), ("weighted", 8),
                                     ("mixed", 8), ("uniform", 30)])
 def test_rejection_matches_dense(name, n):
-    # attempts over the sizes up to n against attempts that draw all k*
-    # counts with numpy's samplers; at n = 30, q_1 = x_n > 2/3, where
-    # numpy's geometric is not an inversion. A partition of 30 is one of
-    # 5604, so there a cell is (R_1, number of parts); cells seen fewer
-    # than 10 times on both sides together are pooled
-    from multpart.sampler import _grand_table
-
+    # the sampler's attempts against attempts whose count laws the oracle
+    # builds from the series and weights and draws with numpy's samplers;
+    # at n = 30, q_1 = x_n > 2/3, where numpy's geometric is not an
+    # inversion. A partition of 30 is one of 5604, so there a cell is
+    # (R_1, number of parts); cells seen fewer than 10 times on both sides
+    # together are pooled
     e, m = _golden_ensemble(name), 3000
-    x = solve_tilt(e, n).x_n
-    assert n < 30 or x > 2 / 3
-    table = _grand_table(e, x)
+    assert n < 30 or solve_tilt(e, n).x_n > 2 / 3
     gen = RngStream(125).generator()
-    a = [Partition.make(dense_rejection_draw(table, n, gen)) for _ in range(m)]
+    a = [Partition.make(dense_rejection_draw(e, n, gen)) for _ in range(m)]
     b = sample_small_many(e, n, m, seed=126)
     cell = repr if n < 30 else (lambda p: (p.counts.get(1, 0), p.num_parts))
     ca, cb = Counter(map(cell, a)), Counter(map(cell, b))
@@ -580,13 +578,11 @@ def test_rejection_matches_dense(name, n):
 
 @pytest.mark.parametrize("name", ["uniform", "gibbs", "strict", "mixed"])
 def test_sparse_pdc_matches_dense(name):
-    # sparse attempts against the dense ones that draw every count
-    from multpart.sampler import _grand_table
-
+    # sparse attempts against dense ones whose count laws, R_1's among
+    # them, the oracle builds from the series and weights
     e, n, m = _golden_ensemble(name), 8, 3000
-    table = _grand_table(e, solve_tilt(e, n).x_n)
     gen = RngStream(123).generator()
-    a = [Partition.make(dense_pdc_draw(table, n, gen)) for _ in range(m)]
+    a = [Partition.make(dense_pdc_draw(e, n, gen)) for _ in range(m)]
     b = sample_small_many(e, n, m, seed=124, mode="pdc")
     support = sorted({*a, *b}, key=lambda p: sorted(p.counts.items()))
     ca, cb = _empirical(a), _empirical(b)
@@ -680,13 +676,22 @@ def test_exact_law_matches_enumeration(name, params, n, part_weight):
     assert stats.chisquare(obs, [m * w for w in law.values()]).pvalue > 0.01
 
 
+# the factors f(x^k)^{b_k} of each golden ensemble, exact, up to x^n
+PREFIX_FACTORS = {
+    "uniform": lambda k, n: geometric_factor(k, 1, n),
+    "weighted": lambda k, n: geometric_factor(k, Fraction(1, 2), n),
+    "gibbs": lambda k, n: exp_factor(k, Fraction(1), n),
+}
+
+
 @pytest.mark.parametrize("name", ["uniform", "weighted", "gibbs"])
 def test_exact_matches_prefix_walk(name):
-    # the recursive method against the prefix-row walk it replaced
+    # the recursive method against a walk of exact prefix rows that the
+    # oracle builds from the factors alone
     e, n, m = _golden_ensemble(name), 8, 3000
-    table = coefficients(e, n, keep_prefix=True)
+    factors = [PREFIX_FACTORS[name](k, n) for k in range(1, n + 1)]
     gen = RngStream(140).generator()
-    a = [Partition.make(prefix_walk_draw(e, table, n, gen)) for _ in range(m)]
+    a = [Partition.make(prefix_walk_draw(factors, n, gen)) for _ in range(m)]
     b = sample_small_many(e, n, m, seed=141, mode="exact")
     support = sorted({*a, *b}, key=lambda p: sorted(p.counts.items()))
     ca, cb = _empirical(a), _empirical(b)
