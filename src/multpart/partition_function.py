@@ -20,12 +20,18 @@ summed, tabulated and turned into point masses:
 * point masses p_m = a_m x^m / F(x) come from the Euler-transform
   (log-derivative) recurrence m p_m = sum_{i<=m} c_i p_{m-i}, where
   c_i = x^i sum_{k|i} k b_k nu_{i/k} and nu_j = j [z^j] log f. It starts
-  from p_0 = 1/F(x) off the product sum.
+  from p_0 = 1/F(x) off the product sum and runs by semi-relaxed
+  convolution (_relaxed_masses): blocks of 128 masses are triangular
+  solves, and the sums over older masses are direct or scaled FFT
+  products, O(m log^2 m) in all (10^6 masses of uniform at x_n: about
+  1.2 s on one core of a 2-CPU machine).
 
 point_mass and local_limit_probe take their masses from the recurrence
-alone, so no table bounds how far they reach. Only where some c_i < 0
-(a series whose logarithm has negative coefficients) are the masses read
-from a coefficient table that reaches the largest m asked for.
+alone, so no table bounds how far they reach; sizes past
+MAX_PRODUCT_SIZES are refused before anything is allocated. Only where
+some c_i < 0 (a series whose logarithm has negative coefficients) are
+the masses read from a coefficient table that reaches the largest m
+asked for.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .asymptotics import solve_tilt
 from .ensemble import Ensemble
@@ -59,6 +67,14 @@ PRODUCT_TAIL_TOL = 1e-12
 MAX_PRODUCT_SIZES = 1 << 24
 # the mass recurrence rescales its running values past this size
 _RESCALE = 1e250
+# the mass engine solves _BLOCK masses per triangular solve; products with
+# at most _DIRECT_MAX terms per factor are direct convolutions, longer ones
+# scaled FFTs whose power factors stay within exp(+-_SCALE_SPAN), and a
+# scaled r segment may peak at most _TAIL_RANGE above its last block
+_BLOCK = 128
+_DIRECT_MAX = 512
+_SCALE_SPAN = 300.0
+_TAIL_RANGE = 1e3
 _EPS = float(np.finfo(np.float64).eps)
 # factor coefficients below this relative size are dropped from the
 # tilted prefix convolutions
@@ -573,29 +589,169 @@ def _mass_recurrence(c: np.ndarray, m_max: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(v, shift), p_m ~ v_m exp(shift_m) for m <= m_max, shift nondecreasing.
 
-    Runs m p_m = sum_{i<=m} c_i p_{m-i} (one dot per m, c_i >= 0, forward
-    stable) from v_0 = 1, dividing the run by _RESCALE whenever a value
-    passes it. v_m keeps its own step's value: nothing overflows, and no
-    mass underflows however far p_0 and p_m lie apart.
+    Solves m p_m = sum_{i<=m} c_i p_{m-i} (c_i >= 0, forward stable) from
+    v_0 = 1, dividing the run by _RESCALE at each m whose value passes it:
+    shift rises by log _RESCALE from m + 1 on, and v_m keeps its own step's
+    value, so nothing overflows and no mass underflows however far p_0 and
+    p_m lie apart. A c supported on a lattice d N runs as c_{d i} / d on
+    m / d, and every other m gets an exact zero. The run itself is
+    _relaxed_masses.
     """
-    nz = np.nonzero(c)[0]
-    top = int(nz[-1]) if nz.size else 0
-    # rev[t] = c_{top-t}, so each step is one contiguous dot
-    rev = c[top:0:-1].copy()
-    r = np.zeros(m_max + 1)
-    r[0] = 1.0
-    v, shift = r.copy(), np.zeros(m_max + 1)
-    start = 0  # v holds the values of steps before start
-    for m in range(1, m_max + 1):
-        lo = m - top if m > top else 0
-        val = r[m] = float(np.dot(r[lo:m], rev[top - m + lo:])) / m
-        if val > _RESCALE:
-            v[start:m + 1] = r[start:m + 1]
-            start = m + 1
-            r[:m + 1] /= _RESCALE
-            shift[start:] += math.log(_RESCALE)
-    v[start:] = r[start:]
+    n1 = m_max + 1
+    c = c[:n1]
+    nz = np.flatnonzero(c[1:]) + 1
+    if not nz.size:
+        v = np.zeros(n1)
+        v[0] = 1.0
+        return v, np.zeros(n1)
+    d = int(np.gcd.reduce(nz))
+    if d == 1:
+        return _relaxed_masses(c, m_max, int(nz[-1]))
+    vd, sd = _relaxed_masses(c[::d] / d, m_max // d, int(nz[-1]) // d)
+    v = np.zeros(n1)
+    v[::d] = vd
+    # off the lattice the shift is that of the next lattice point; past the
+    # last one, that of the step after it
+    after = sd[-1] + math.log(_RESCALE) if vd[-1] > _RESCALE else sd[-1]
+    return v, np.append(sd, after)[(np.arange(n1) + d - 1) // d]
+
+
+def _relaxed_masses(c: np.ndarray, m_max: int, top: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """_mass_recurrence for c with last nonzero entry top, in
+    O(m_max log^2 m_max) operations by semi-relaxed convolution (van der
+    Hoeven, "Relax, but don't be too lazy", J. Symb. Comput. 2002).
+
+    h_m collects c_i r_{m-i} over the r_j known so far. The masses come in
+    blocks of _BLOCK, each one lower-triangular solve of
+    m r_m - sum_{i<m-s} c_i r_{m-i} = h_m (BLAS dtrsv). When the block
+    ending at e is done, its lags below 2 _BLOCK go into h by one
+    matrix-vector product, and for each power of two L >= 2 _BLOCK dividing
+    e, r[e-L:e] * c[L:2L) goes into h from e on (_product). Every pair
+    (j, i) is added once, after r_j is known and before m = i + j is
+    solved. A value past _RESCALE ends the solve at its m: r so far and
+    every pending h are divided by _RESCALE, and the rest of the block is
+    solved again.
+    """
+    from scipy.linalg.blas import dtrsv  # slow to import; loaded on first use
+
+    B, big = _BLOCK, _RESCALE
+    log_big = math.log(big)
+    n1 = m_max + 1
+    # rev[t] = c_{4B-1-t} for lags 0..2B-1, zero elsewhere: the lag tables
+    # below are its windows of length B
+    k = min(2 * B, c.size)
+    rev = np.zeros(5 * B)
+    rev[4 * B - k:4 * B] = c[k - 1::-1]
+    rows = sliding_window_view(rev, B)
+    # a = D - C with C[i, j] = c_{i-j} below the diagonal, D set per block
+    a = np.array(rows[4 * B - 1:3 * B - 1:-1], order="F")
+    a *= -1.0
+    diag = a.ravel(order="K")[::B + 1]
+    ar = np.arange(B, dtype=np.float64)
+    # ahead[k] @ r[s:e] = sum_j c_{B+k-j} r_{s+j}: the lags 1..2B-1 of a
+    # finished block onto m = e + k
+    ahead = np.array(rows[3 * B - 1:B:-1])
+    r = np.zeros(n1)
+    v = np.empty(n1)
+    shift = np.zeros(n1)
+    h = np.zeros(n1)
+    h[0] = 1.0  # row 0 of the first block reads r_0 = 1
+    for s in range(0, n1, B):
+        e = min(s + B, n1)
+        w = e - s
+        np.add(ar, s, out=diag)
+        if s == 0:
+            diag[0] = 1.0
+        o, rhs = 0, h[s:e]
+        while True:
+            y = dtrsv(a[o:w, o:w], rhs, lower=1)
+            if y.max() <= big:
+                r[s + o:e] = v[s + o:e] = y
+                break
+            t = s + o + int(np.argmax(~(y <= big)))
+            r[s + o:t + 1] = v[s + o:t + 1] = y[:t + 1 - s - o]
+            shift[t + 1:] += log_big
+            r[:t + 1] /= big
+            h[t + 1:] /= big
+            o = t + 1 - s
+            if o == w:
+                break
+            rhs = h[t + 1:e] - a[o:w, :o] @ r[s:t + 1]
+        if e == n1:
+            break
+        k = min(2 * B - 1, n1 - e)
+        h[e:e + k] += ahead[:k] @ r[s:e]
+        span = 2 * B
+        while e % span == 0 and span <= top:
+            k = min(2 * span - 1, n1 - e)
+            h[e:e + k] += _product(r[e - span:e], c, span)[:k]
+            span *= 2
     return v, shift
+
+
+def _log_rate(x: np.ndarray) -> float | None:
+    """log of the geometric rate of x from the peak of its first quarter to
+    that of its last; None where either peak is 0."""
+    q = max(x.size // 4, 1)
+    lo = int(np.argmax(x[:q]))
+    hi = x.size - q + int(np.argmax(x[-q:]))
+    if hi <= lo or not x[lo] > 0.0 or not x[hi] > 0.0:
+        return None
+    return (math.log(x[hi]) - math.log(x[lo])) / (hi - lo)
+
+
+def _product(rs: np.ndarray, c: np.ndarray, c0: int) -> np.ndarray:
+    """rs * c[c0:c0+n], n = len(rs) a power of two, as 2n - 1 terms >= 0.
+
+    A plain FFT product errs by about eps times its largest term, which
+    wipes out the small terms of a deep tail (uniform at x = 0.9 up to
+    m = 4000: masses off by a factor 1e24). The product therefore runs on
+    rs_j s^-j and c_{c0+i} s^-i and takes s^k afterwards, exact in
+    arithmetic and a few ulp in floats. s is the larger of the geometric
+    rate of c over the segment and that of rs over its last 2 _BLOCK
+    terms, so the scaled c does not grow along the segment. Where s is the
+    rate of rs, the scaled rs must peak within _TAIL_RANGE of its last
+    block, next to the outputs, or the product runs direct. The error then
+    stays small beside each output: masses within 2.2e-14 of the dot-per-m
+    loop for ten ensembles up to m = 8e4. A factor range past exp(_SCALE_SPAN) splits the product
+    in four, and products of at most _DIRECT_MAX terms per factor are
+    direct convolutions.
+    """
+    n = rs.size
+    cs = c[c0:c0 + n]
+    prod = np.zeros(2 * n - 1)
+    peak = float(rs.max())
+    if not cs.size or peak == 0.0:
+        return prod
+    log_r = log_s = None
+    if n > _DIRECT_MAX:
+        log_r = _log_rate(rs[-2 * _BLOCK:])
+        log_s = max((g for g in (_log_rate(cs), log_r) if g is not None),
+                    default=None)
+    if log_s is not None and n * abs(log_s) > _SCALE_SPAN:
+        half = n // 2
+        for i in (0, half):
+            for j in (0, half):
+                prod[i + j:i + j + n - 1] += _product(
+                    rs[i:i + half], c, c0 + j)
+        return prod
+    if log_s is not None:
+        # pw[n + j] = s^j; both factors are centred on n/2
+        pw = np.power(math.exp(log_s), np.arange(-n, n, dtype=np.float64))
+        scale = pw[n // 2 + n:n // 2:-1]
+        exp_r = math.frexp(peak)[1]
+        ra = np.ldexp(rs, -exp_r) * scale
+        if log_s != log_r or ra.max() <= _TAIL_RANGE * ra[-_BLOCK:].max():
+            ca = cs * scale[:cs.size]
+            exp_c = math.frexp(float(ca.max()))[1]
+            prod = np.fft.irfft(np.fft.rfft(ra, 2 * n)
+                                * np.fft.rfft(np.ldexp(ca, -exp_c), 2 * n),
+                                2 * n)[:2 * n - 1] * pw[:2 * n - 1]
+            return np.ldexp(np.maximum(prod, 0.0), exp_r + exp_c)
+    direct = np.convolve(rs, cs)
+    prod[:direct.size] = direct
+    return prod
 
 
 def _tilted_masses(e: Ensemble, x: float, m_max: int) -> np.ndarray:
@@ -619,17 +775,35 @@ def _tilted_masses(e: Ensemble, x: float, m_max: int) -> np.ndarray:
     return v * half * half
 
 
+def _mass_size(m, name: str = "m") -> int:
+    """m as an int, checked before any array over 0..m is allocated.
+
+    ParamError unless m is an integer >= 0 (bools are refused, numpy
+    integers pass); ConvergenceError past MAX_PRODUCT_SIZES, the bound of
+    every array over part sizes.
+    """
+    if isinstance(m, bool) or not isinstance(m, Integral):
+        raise ParamError(f"{name} must be an integer, got {m!r}")
+    if m < 0:
+        raise ParamError(f"{name} must be >= 0, got {m}")
+    if m > MAX_PRODUCT_SIZES:
+        raise ConvergenceError(
+            f"point masses up to {name}={m} need arrays past "
+            f"{MAX_PRODUCT_SIZES} sizes")
+    return int(m)
+
+
 def point_mass(e: Ensemble, x: float, m: int) -> float:
     """mu_x(total size = m) = a_m x^m / F(x).
 
-    Runs the tilted Euler-transform recurrence up to m; no table is built
-    and no truncation can occur.
+    Runs the tilted Euler-transform recurrence up to m, so no coefficient
+    table is built; log F(x) carries the PRODUCT_TAIL_TOL cut of
+    log_partition_value, a relative error below 1e-12 on the mass.
     """
     e.check_tilt(x)
     if x == 0.0:  # the table fallback takes log x
         raise ParamError("point_mass needs x > 0")
-    if m < 0:
-        raise ParamError("m must be >= 0")
+    m = _mass_size(m)
     return float(_tilted_masses(e, x, m)[m])
 
 
@@ -647,5 +821,5 @@ def local_limit_probe(e: Ensemble, x: float, u_grid) -> list[tuple[float, float]
     mean, var = e.mean_var(x)
     sd = math.sqrt(var)
     ms = [max(int(round(mean + u * sd)), 0) for u in us]
-    masses = _tilted_masses(e, x, max(ms))
+    masses = _tilted_masses(e, x, _mass_size(max(ms)))
     return [(u, sd * float(masses[m])) for u, m in zip(us, ms)]

@@ -52,7 +52,7 @@ from .errors import (
     TailError,
 )
 from .partition_function import (_log_derivative_weights, _mass_recurrence,
-                                 product_tail_cutoff)
+                                 _mass_size, product_tail_cutoff)
 from .series import ExponentialSeries, GeometricSeries, power_coefficients
 
 __all__ = [
@@ -718,9 +718,7 @@ class _RecursivePlan:
     xpow_e = x^e, and the heads of c and v as lists for scalar windows."""
 
     def __init__(self, e: Ensemble, n: int):
-        if n < 0:
-            raise ParamError("n must be >= 0")
-        self.n = n
+        self.n = n = _mass_size(n, "n")
         if n == 0:
             return  # the empty partition is drawn without tables
         self.x = solve_tilt(e, n).x_n
@@ -796,7 +794,10 @@ def sample_small_exact(e: Ensemble, n: int, rng: RngStream) -> Partition:
     proportional to k b_k nu_j x^{(k-1)j}, nu_j = mu_j x^j; m drops by i
     until it is 0. The split needs every nu_j >= 0 (geometric and
     exponential series and their powers: every catalog ensemble), else
-    ParamError points to mode 'pdc'. O(n) memory; a step costs O(m) for i,
+    ParamError points to mode 'pdc'. The plan, built once per n, takes
+    O(n) memory and O(n log^2 n) operations for the masses
+    (_mass_recurrence); n past MAX_PRODUCT_SIZES is refused with
+    ConvergenceError before anything is allocated. A step costs O(m) for i,
     in scalar code up to m = _SCALAR_WINDOW, and O(sqrt i) for the split.
     """
     return _fixed_plan(e, n, "exact").draw(rng)

@@ -13,8 +13,10 @@ method that replaced it can be checked against it: dense_geometric_row
 inverts a uniform for every size up to the grand cutoff k*, and
 recursive_vector_draw runs every step of the recursive method in numpy
 vectors. A fourth, array_prediction, replays the concentration
-prediction's former moment arrays, and scan_rows runs every table scan as
-the numpy row loop it once was.
+prediction's former moment arrays, scan_rows runs every table scan as
+the numpy row loop it once was, and mass_recurrence_loop runs the point-mass
+recurrence as the one dot per m it once was, with the package's rescale
+threshold.
 """
 
 from __future__ import annotations
@@ -577,3 +579,35 @@ def scan_rows(a: np.ndarray, k: int, mult) -> None:
     n1 = a.shape[0]
     for lo in range(k, n1, k):
         a[lo:lo + k] += mult * a[lo - k:min(lo, n1 - k)]
+
+
+def mass_recurrence_loop(c: np.ndarray, m_max: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(v, shift), p_m ~ v_m exp(shift_m) for m <= m_max, shift nondecreasing.
+
+    The mass engine's former method: m p_m = sum_{i<=m} c_i p_{m-i} as one
+    dot per m from v_0 = 1, dividing the run by the package's _RESCALE
+    (read at call time) whenever a value passes it. v_m keeps its own
+    step's value. O(m_max^2).
+    """
+    from multpart import partition_function
+
+    rescale = partition_function._RESCALE
+    nz = np.nonzero(c)[0]
+    top = int(nz[-1]) if nz.size else 0
+    # rev[t] = c_{top-t}, so each step is one contiguous dot
+    rev = c[top:0:-1].copy()
+    r = np.zeros(m_max + 1)
+    r[0] = 1.0
+    v, shift = r.copy(), np.zeros(m_max + 1)
+    start = 0  # v holds the values of steps before start
+    for m in range(1, m_max + 1):
+        lo = m - top if m > top else 0
+        val = r[m] = float(np.dot(r[lo:m], rev[top - m + lo:])) / m
+        if val > rescale:
+            v[start:m + 1] = r[start:m + 1]
+            start = m + 1
+            r[:m + 1] /= rescale
+            shift[start:] += math.log(rescale)
+    v[start:] = r[start:]
+    return v, shift

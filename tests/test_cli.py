@@ -239,6 +239,13 @@ def test_sample_grand_past_the_size_bound_exits_4():
     assert "part sizes" in res.stderr
 
 
+def test_sample_small_exact_past_the_size_bound_exits_4():
+    res = run_cli("sample", "--ensemble", "uniform", "--mode", "small-exact",
+                  "--n", "100000000")
+    assert res.exit_code == 4
+    assert "100000000" in res.stderr
+
+
 def test_sample_small_requires_n():
     res = run_cli("sample", "--ensemble", "uniform")
     assert res.exit_code == 1

@@ -36,13 +36,16 @@ from multpart import (
     solve_tilt,
 )
 from multpart import partition_function
-from multpart.partition_function import (_factor_weights_float,
-                                        _log_derivative_weights, _scan,
+from multpart.partition_function import (MAX_PRODUCT_SIZES, _BLOCK,
+                                        _factor_weights_float,
+                                        _log_derivative_weights,
+                                        _mass_recurrence, _scan,
                                         _tilted_masses)
 
 from oracles import (exp_factor, exponential_dot_longdouble,
                      exponential_dot_table, geometric_factor,
-                     log_partition_loop, partition_count, partition_product,
+                     log_partition_loop, mass_recurrence_loop,
+                     partition_count, partition_product,
                      product_coefficients, scan_rows, weighted_partition_sum)
 
 
@@ -738,6 +741,100 @@ def test_point_mass_validation():
         point_mass(u, 0.0, 3)
     with pytest.raises(ParamError):
         point_mass(u, 0.5, -1)
+
+
+def test_point_mass_at_2e5_matches_exact_partition_number():
+    # p(n) exact from the Hardy-Ramanujan-Rademacher series, F from a naive
+    # product: about 1.3e4 factors 1/(1 - x^k), whose roundings keep log F
+    # within 4e-13 of its value at this tilt, far inside the tolerance
+    from sympy.functions.combinatorial.numbers import partition
+
+    n = 200_000
+    u = make("uniform")
+    x = solve_tilt(u, n).x_n
+    want = math.exp(math.log(int(partition(n))) + n * math.log(x)
+                    - math.log(partition_product(x)))
+    assert point_mass(u, x, n) == pytest.approx(want, rel=1e-10)
+
+
+def test_mass_sizes_are_integers():
+    u = make("uniform")
+    for m in (2.5, 3.0, True, "3"):
+        with pytest.raises(ParamError):
+            point_mass(u, 0.5, m)
+    assert point_mass(u, 0.5, np.int64(3)) == point_mass(u, 0.5, 3)
+
+
+def test_mass_sizes_past_the_bound_are_refused():
+    # refused before any array over 0..m is allocated: the probe at
+    # x = 1 - 1e-4 would ask for m near 1.6e8
+    u = make("uniform")
+    with pytest.raises(ConvergenceError, match=f"m={MAX_PRODUCT_SIZES + 1} "):
+        point_mass(u, 0.5, MAX_PRODUCT_SIZES + 1)
+    with pytest.raises(ConvergenceError, match=str(MAX_PRODUCT_SIZES)):
+        local_limit_probe(u, 1.0 - 1e-4, (0.0,))
+
+
+# the mass engine against the dot-per-m loop it replaced: (ensemble, x, or
+# None for the tilt x_n of m_max, m_max)
+MASS_ENGINE_CASES = {
+    **{f"{name} x=0.97": (make_e, 0.97, 2000)
+       for name, make_e in ENGINE_CASES.items()},
+    # deep tails, where an unscaled FFT product loses every digit
+    "uniform x=0.9": (lambda: make("uniform"), 0.9, 4000),
+    "gibbs(1,1) x=0.9": (lambda: make("gibbs", theta=1, beta=1), 0.9, 3000),
+    "weighted(2) x=0.45": (lambda: make("weighted", y=2), 0.45, 3000),
+    "uniform x_n": (lambda: make("uniform"), None, 30_000),
+    # c_i = i^3 x^i grows along each segment: scaling by the rate of c
+    # alone leaves 2e-11
+    "gibbs(1,3) x_n": (lambda: make("gibbs", theta=1, beta=3), None, 3000),
+    # log F(x_n) > 800: the run rescales
+    "gibbs(5000,1) x_n": (lambda: make("gibbs", theta=5000, beta=1), None,
+                          1000),
+    # c_i = 0 off a lattice: masses off it are exact zeros, and an m_max
+    # off it ends past the last lattice point. Radix-2 FFTs of even
+    # sequences leave odd terms at exactly 0; a stride of 3 needs the
+    # lattice run
+    "restricted(evens)": (lambda: make("restricted", parts="evens"), 0.97,
+                          2001),
+    "multiples of 3": (lambda: Ensemble(GeometricSeries(1), indicator_weights(
+        {"modulus": 3, "residues": [0]})), 0.97, 3001),
+    **{f"uniform m_max={m}": (lambda: make("uniform"), 0.9, m)
+       for m in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1)},
+}
+
+
+def assert_engine_matches_loop(c, m_max):
+    v, shift = _mass_recurrence(c, m_max)
+    want_v, want_shift = mass_recurrence_loop(c, m_max)
+    assert np.array_equal(shift, want_shift)
+    assert np.array_equal(v == 0.0, want_v == 0.0)
+    # every mass within 1e-200 of the peak, to 1e-12 relative
+    log_p = np.log(np.where(want_v > 0.0, want_v, np.nan)) + want_shift
+    keep = log_p >= np.nanmax(log_p) - 200 * math.log(10)
+    assert np.abs(v[keep] / want_v[keep] - 1.0).max() <= 1e-12
+    return shift
+
+
+@pytest.mark.parametrize("name", list(MASS_ENGINE_CASES))
+def test_mass_engine_matches_loop(name):
+    make_e, x, m_max = MASS_ENGINE_CASES[name]
+    e = make_e()
+    x = solve_tilt(e, m_max).x_n if x is None else x
+    c, positive = _log_derivative_weights(e, x, m_max)
+    assert positive
+    assert_engine_matches_loop(c, m_max)
+
+
+def test_mass_engine_matches_loop_across_rescales_within_a_block(monkeypatch):
+    # at _RESCALE = 1e20 gibbs(5000, 1) passes the threshold seven times in
+    # its first block, so one block is solved in several pieces
+    monkeypatch.setattr(partition_function, "_RESCALE", 1e20)
+    e = make("gibbs", theta=5000, beta=1)
+    c, _ = _log_derivative_weights(e, solve_tilt(e, 1000).x_n, 1000)
+    shift = assert_engine_matches_loop(c, 1000)
+    rises = np.flatnonzero(np.diff(shift)) + 1
+    assert np.bincount(rises // _BLOCK).max() >= 3
 
 
 # ---------------------------------------------------------------------------

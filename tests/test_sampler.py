@@ -13,6 +13,7 @@ from scipy import special, stats
 
 from multpart import (
     BudgetExhausted,
+    ConvergenceError,
     CustomSeries,
     DomainError,
     EmptySupportError,
@@ -36,6 +37,7 @@ from multpart import (
 )
 
 from multpart import partition_function, sampler
+from multpart.partition_function import MAX_PRODUCT_SIZES
 from multpart.sampler import _SCALAR_WINDOW, _RecursivePlan
 from oracles import (dense_geometric_row, dense_pdc_draw, dense_rejection_draw,
                      exp_factor, geometric_factor, partitions_into,
@@ -735,6 +737,20 @@ def test_exact_matches_vector_reference_across_rescales(monkeypatch):
     e = make("gibbs", theta=1000, beta=1)
     assert _RecursivePlan(e, 300).shift[_SCALAR_WINDOW] > 0.0
     _assert_matches_vector_reference(e, 300, 100)
+
+
+def test_exact_plan_sizes_are_integers():
+    u = make("uniform")
+    for n in (2.5, 3.0, True):
+        with pytest.raises(ParamError):
+            sample_small_exact(u, n, RngStream(1))
+    assert sample_small_exact(u, np.int64(7), RngStream(1)).weight == 7
+
+
+def test_exact_plan_past_the_size_bound_is_refused():
+    # refused before the tilt's coefficient arrays are allocated
+    with pytest.raises(ConvergenceError, match=str(MAX_PRODUCT_SIZES)):
+        _RecursivePlan(make("uniform"), MAX_PRODUCT_SIZES + 1)
 
 
 def test_exact_needs_nonnegative_log_coefficients():
